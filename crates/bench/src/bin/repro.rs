@@ -39,7 +39,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use lucent_bench::drive::Driver;
-use lucent_bench::{shard, Caps, Scale};
+use lucent_bench::{Caps, Scale};
 use lucent_core::experiments::{
     categories, dns_mechanism, evasion, fig2, fig5, https_note, mechanism, race, table1, table2,
     table3, tracer_demo,
@@ -70,7 +70,7 @@ fn parse_args() -> Args {
     let mut trace = None;
     let mut metrics_out = None;
     let mut profile = None;
-    let mut threads = shard::default_threads();
+    let mut threads = lucent_support::pool::default_threads();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {

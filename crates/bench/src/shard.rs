@@ -1,18 +1,15 @@
 //! Deterministic shard scheduler: independent work units (one per ISP,
 //! or per resolver batch) each build their own seeded [`Lab`] and drain
-//! their own telemetry; a pool of OS threads runs the queue and results
-//! come back **in submission order**, so every artifact derived from
-//! them is byte-identical between `--threads 1` and `--threads N`.
-//!
-//! This module is the only sanctioned home of `std::thread` in the
-//! workspace (enforced by lucent-lint L3): determinism is an argument
-//! about *this* scheduler, not about arbitrary thread use.
+//! their own telemetry; [`lucent_support::pool::map_indexed`] runs them
+//! and results come back **in submission order**, so every artifact
+//! derived from them is byte-identical between `--threads 1` and
+//! `--threads N`.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use lucent_core::lab::Lab;
 use lucent_obs::TelemetryDump;
+use lucent_support::pool;
 use lucent_support::rng::{derive, Rng64};
 use lucent_topology::{India, IndiaConfig};
 
@@ -88,29 +85,17 @@ impl Pool {
     /// submission index, never on a thread id, so the merged registry
     /// stays byte-identical at any `--threads N`.
     pub fn run_tagged<T: Send>(&self, tag: &str, jobs: Vec<Job<'_, T>>) -> Vec<ShardOut<T>> {
-        let n = jobs.len();
-        if self.threads == 1 || n <= 1 {
-            return jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, job)| self.run_one(tag, i as u64, job))
-                .collect();
-        }
-        let queue: Mutex<VecDeque<(usize, Job<'_, T>)>> =
-            Mutex::new(jobs.into_iter().enumerate().collect());
-        let results: Mutex<Vec<Option<ShardOut<T>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let next = lock(&queue).pop_front();
-                    let Some((i, job)) = next else { break };
-                    let out = self.run_one(tag, i as u64, job);
-                    lock(&results)[i] = Some(out);
-                });
-            }
+        // Each index is claimed by exactly one worker, which moves its
+        // job out of the slot; the mutex only makes the slot `Sync`.
+        // Taking an `Option` cannot leave it half-updated, so a
+        // poisoned lock is safe to recover.
+        let slots: Vec<Mutex<Option<Job<'_, T>>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let outs = pool::map_indexed(slots.len(), self.threads, |i| {
+            let job = slots[i].lock().unwrap_or_else(PoisonError::into_inner).take()?;
+            Some(self.run_one(tag, i as u64, job))
         });
-        results.into_inner().unwrap_or_else(|p| p.into_inner()).into_iter().flatten().collect()
+        outs.into_iter().flatten().collect()
     }
 
     fn run_one<T>(&self, tag: &str, shard_id: u64, job: Job<'_, T>) -> ShardOut<T> {
@@ -143,21 +128,6 @@ impl Pool {
         let dump = obs.drain_dump();
         ShardOut { value, dump, events, busy_secs }
     }
-}
-
-/// Lock a mutex, recovering from poisoning (a panicked sibling shard
-/// must not cascade into a second panic here).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The default `--threads`: available hardware parallelism, 1 if
-/// unknown.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 #[cfg(test)]

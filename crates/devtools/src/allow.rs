@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::toml::{self, Value};
+use lucent_support::toml;
 
 /// Parsed allowlist.
 #[derive(Debug, Default, Clone)]
@@ -39,17 +39,20 @@ pub struct Allow {
 impl Allow {
     /// Parse `lint-allow.toml` text.
     pub fn parse(text: &str) -> Result<Allow, String> {
-        let doc = toml::parse(text)?;
-        let files = |section: &str| -> Vec<String> {
-            doc.get(section, "files")
-                .and_then(Value::as_array)
-                .map(<[String]>::to_vec)
-                .unwrap_or_default()
+        let doc = toml::parse(text).map_err(|e| e.to_string())?;
+        let strings = |section: &str, key: &str| -> Result<Vec<String>, String> {
+            match doc.get(section, key) {
+                None => Ok(Vec::new()),
+                Some(v) => {
+                    v.as_str_list().ok_or_else(|| format!("{section}.{key}: expected a list of strings"))
+                }
+            }
         };
         let ceilings = |section: &str| -> Result<BTreeMap<String, usize>, String> {
             let mut out = BTreeMap::new();
-            for (key, v) in doc.section(section) {
-                let n = v.as_int().ok_or_else(|| format!("{section}.{key}: expected an integer"))?;
+            for e in doc.section(section) {
+                let key = &e.key;
+                let n = e.value.as_int().ok_or_else(|| format!("{section}.{key}: expected an integer"))?;
                 if n < 0 {
                     return Err(format!("{section}.{key}: negative ceiling"));
                 }
@@ -57,18 +60,13 @@ impl Allow {
             }
             Ok(out)
         };
-        let roots = doc
-            .get("hot_roots", "roots")
-            .and_then(Value::as_array)
-            .map(<[String]>::to_vec)
-            .unwrap_or_default();
         Ok(Allow {
-            wall_clock: files("wall_clock"),
-            rng_construction: files("rng_construction"),
-            shared_state: files("shared_state"),
+            wall_clock: strings("wall_clock", "files")?,
+            rng_construction: strings("rng_construction", "files")?,
+            shared_state: strings("shared_state", "files")?,
             panic_sites: ceilings("panic_sites")?,
             panic_reach: ceilings("panic_reach")?,
-            hot_roots: roots,
+            hot_roots: strings("hot_roots", "roots")?,
             alloc_reach: ceilings("alloc_reach")?,
             alloc_in_loop: ceilings("alloc_in_loop")?,
             policy_anomaly: ceilings("policy_anomaly")?,
@@ -120,8 +118,8 @@ impl Allow {
              # reduced as code is hardened, never added or increased. The gate\n\
              # (tests/lint_gate.rs) fails the build when a ceiling is exceeded.\n\n",
         );
-        // One line per array: the subset parser does not read
-        // multi-line arrays.
+        // One line per array: the TOML reader does not read multi-line
+        // arrays.
         let list = |name: &str, files: &[String]| {
             let quoted: Vec<String> = files.iter().map(|f| format!("\"{f}\"")).collect();
             format!("[{name}]\nfiles = [{}]\n\n", quoted.join(", "))
@@ -217,5 +215,16 @@ mod tests {
     #[test]
     fn negative_ceilings_are_rejected() {
         assert!(Allow::parse("[panic_sites]\n\"x.rs\" = -1\n").is_err());
+    }
+
+    #[test]
+    fn duplicate_entries_are_rejected_not_merged() {
+        // A repeated key used to overrule the first (ceiling 9), and a
+        // repeated header used to merge into the first table.
+        let dup_key = Allow::parse("[panic_sites]\n\"a.rs\" = 1\n\"a.rs\" = 9\n");
+        assert_eq!(dup_key.unwrap_err(), "line 3: duplicate key `a.rs`");
+        let dup_table =
+            Allow::parse("[panic_sites]\n\"a.rs\" = 1\n\n[panic_sites]\n\"b.rs\" = 2\n");
+        assert_eq!(dup_table.unwrap_err(), "line 4: duplicate section [panic_sites]");
     }
 }

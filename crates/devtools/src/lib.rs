@@ -50,16 +50,19 @@
 //!
 //! The lint's *language frontend* is dependency-free by construction:
 //! it ships its own Rust scrubbing lexer, a brace-tree item parser
-//! ([`parse`]), a symbol index ([`symbols`]) with a name-based call
-//! graph ([`callgraph`]), and a TOML subset parser, so the gate itself
-//! cannot violate L1. The one workspace dependency is
-//! `lucent-middlebox`, linked so L11/L12 analyze the *compiled* policy
-//! IR — the exact programs the interpreter executes — rather than
-//! re-parsing policy TOML with a second grammar.
+//! ([`parse`]), and a symbol index ([`symbols`]) with a name-based call
+//! graph ([`callgraph`]), so the gate itself cannot violate L1. Its
+//! workspace dependencies are `lucent-support`, whose TOML reader
+//! ([`lucent_support::toml`]) reads the manifests and the allowlist,
+//! and `lucent-middlebox`, linked so L11/L12 analyze the *compiled*
+//! policy IR — the exact programs the interpreter executes, read by
+//! that same TOML reader.
 //!
-//! The per-file pass runs on the deterministic [`pool`]: files are
-//! partitioned round-robin and merged in path order, so the report —
-//! including its `--json` form — is byte-identical at any thread count.
+//! The per-file pass runs on the deterministic
+//! [`lucent_support::pool`]: results are merged in path order, so the
+//! report — including its `--json` form, built as a
+//! [`lucent_support::Json`] tree — is byte-identical at any thread
+//! count.
 
 #![forbid(unsafe_code)]
 
@@ -71,16 +74,16 @@ pub mod lex;
 pub mod manifest;
 pub mod parse;
 pub mod policycheck;
-pub mod pool;
 pub mod reach;
 pub mod report;
 pub mod source;
 pub mod symbols;
-pub mod toml;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use lucent_support::{pool, toml};
 
 use allow::Allow;
 use callgraph::{CallSite, Graph};

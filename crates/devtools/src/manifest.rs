@@ -22,8 +22,9 @@
 
 use std::collections::BTreeMap;
 
+use lucent_support::toml::{Doc, Value};
+
 use crate::report::{Rule, Violation};
-use crate::toml::{Doc, Value};
 
 /// One dependency as declared in a manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,23 +63,19 @@ pub fn extract(doc: &Doc, rel_path: &str) -> Manifest {
         .to_string();
     let mut deps = Vec::new();
     for section in DEP_SECTIONS {
-        for (name, value) in doc.section(section) {
-            deps.push(classify(name, value, section));
+        for e in doc.section(section) {
+            deps.push(classify(&e.key, &e.value, section));
         }
         // Dotted sub-tables: [dependencies.foo]
         let prefix = format!("{section}.");
-        for sec_name in doc.sections.keys() {
-            if let Some(dep_name) = sec_name.strip_prefix(&prefix) {
-                let entries = doc.section(sec_name);
-                let has = |k: &str| entries.iter().any(|(key, _)| key == k);
+        for table in &doc.tables {
+            if let Some(dep_name) = table.name.strip_prefix(&prefix) {
                 deps.push(Dep {
                     name: dep_name.to_string(),
                     section: section.to_string(),
-                    has_path: has("path"),
-                    from_workspace: entries.iter().any(|(k, v)| {
-                        k == "workspace" && matches!(v, Value::Bool(true))
-                    }),
-                    has_version: has("version"),
+                    has_path: table.get("path").is_some(),
+                    from_workspace: table.get("workspace").is_some_and(|e| e.value == Value::Bool(true)),
+                    has_version: table.get("version").is_some(),
                 });
             }
         }
@@ -90,10 +87,10 @@ fn classify(name: &str, value: &Value, section: &str) -> Dep {
     let (has_path, from_workspace, has_version) = match value {
         // `foo = "1.0"` — bare registry requirement.
         Value::Str(_) => (false, false, true),
-        Value::Table(t) => (
-            t.contains_key("path"),
-            matches!(t.get("workspace"), Some(Value::Bool(true))),
-            t.contains_key("version"),
+        Value::Table(_) => (
+            value.get("path").is_some(),
+            value.get("workspace") == Some(&Value::Bool(true)),
+            value.get("version").is_some(),
         ),
         _ => (false, false, false),
     };
@@ -106,9 +103,9 @@ fn classify(name: &str, value: &Value, section: &str) -> Dep {
 pub fn check_workspace_deps(root: &Doc) -> (Vec<Violation>, Vec<String>) {
     let mut violations = Vec::new();
     let mut path_backed = Vec::new();
-    for (name, value) in root.section("workspace.dependencies") {
-        let ok = matches!(value, Value::Table(t) if t.contains_key("path"));
-        if ok {
+    for e in root.section("workspace.dependencies") {
+        let name = &e.key;
+        if e.value.get("path").is_some() {
             path_backed.push(name.clone());
         } else {
             violations.push(Violation::file(
@@ -234,7 +231,7 @@ pub fn check_layering(m: &Manifest) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toml;
+    use lucent_support::toml;
 
     fn manifest(text: &str) -> Manifest {
         extract(&toml::parse(text).expect("toml"), "crates/x/Cargo.toml")

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use lucent_support::{Json, ToJson};
+
 /// The rule families, in gate order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
@@ -128,106 +130,47 @@ impl Report {
         self.violations.append(&mut other);
     }
 
-    /// Machine-readable report (schema `lucent-lint/4`). Hand-rolled on
-    /// purpose: every map is a `BTreeMap` and every list is pre-sorted
-    /// by the caller, so the bytes are identical across runs and thread
-    /// counts — CI diffs this against a committed golden.
+    /// Machine-readable report (schema `lucent-lint/4`). Every map is a
+    /// `BTreeMap` and every list is pre-sorted by the caller, so the
+    /// bytes are identical across runs and thread counts — CI diffs
+    /// this against a committed golden.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"lucent-lint/4\",\n");
-        count_line(&mut out, "files_scanned", self.files_scanned);
-        count_line(&mut out, "functions", self.functions);
-        count_line(&mut out, "call_edges", self.call_edges);
-        count_line(&mut out, "panic_total", self.panic_total);
-        count_line(&mut out, "alloc_total", self.alloc_total);
-        count_line(&mut out, "policy_files", self.policy_files);
-        count_map(&mut out, "panic_sites", &self.panic_by_file);
-        out.push_str("  \"panic_reach\": {");
-        let mut first = true;
-        for (id, sites) in &self.panic_reach {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let listed: Vec<String> = sites.iter().map(|s| json_str(s)).collect();
-            out.push_str(&format!("    {}: [{}]", json_str(id), listed.join(", ")));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        count_map(&mut out, "alloc_reach", &self.alloc_reach);
-        count_map(&mut out, "alloc_in_loop", &self.alloc_in_loop);
-        out.push_str("  \"hot_alloc_census\": {");
-        first = true;
-        for (krate, (total, in_loop)) in &self.hot_alloc_census {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!(
-                "    {}: {{\"reachable\": {total}, \"in_loop\": {in_loop}}}",
-                json_str(krate)
-            ));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        count_map(&mut out, "policy_anomaly", &self.policy_anomaly);
-        out.push_str("  \"violations\": [");
-        first = true;
-        for v in &self.violations {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"msg\": {}}}",
-                json_str(v.rule.code()),
-                json_str(&v.path),
-                v.line,
-                json_str(&v.msg)
-            ));
-        }
-        out.push_str(if first { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"warnings\": [");
-        first = true;
-        for w in &self.warnings {
-            out.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            out.push_str(&format!("    {}", json_str(w)));
-        }
-        out.push_str(if first { "]\n" } else { "\n  ]\n" });
-        out.push_str("}\n");
-        out
+        let census = self.hot_alloc_census.iter().map(|(krate, (reachable, in_loop))| {
+            let counts = vec![field("reachable", reachable), field("in_loop", in_loop)];
+            (krate.clone(), Json::Obj(counts))
+        });
+        let violations = self.violations.iter().map(|v| {
+            Json::Obj(vec![
+                field("rule", v.rule.code()),
+                field("path", &v.path),
+                field("line", &v.line),
+                field("msg", &v.msg),
+            ])
+        });
+        let doc = Json::Obj(vec![
+            field("schema", "lucent-lint/4"),
+            field("files_scanned", &self.files_scanned),
+            field("functions", &self.functions),
+            field("call_edges", &self.call_edges),
+            field("panic_total", &self.panic_total),
+            field("alloc_total", &self.alloc_total),
+            field("policy_files", &self.policy_files),
+            field("panic_sites", &self.panic_by_file),
+            field("panic_reach", &self.panic_reach),
+            field("alloc_reach", &self.alloc_reach),
+            field("alloc_in_loop", &self.alloc_in_loop),
+            ("hot_alloc_census".to_string(), Json::Obj(census.collect())),
+            field("policy_anomaly", &self.policy_anomaly),
+            ("violations".to_string(), Json::Arr(violations.collect())),
+            field("warnings", &self.warnings),
+        ]);
+        doc.to_string_pretty() + "\n"
     }
 }
 
-/// Emit one `  "name": n,` scalar line of the JSON report.
-fn count_line(out: &mut String, name: &str, n: usize) {
-    out.push_str(&format!("  \"{name}\": {n},\n"));
-}
-
-/// Emit one `"name": {"key": n, …}` object of the JSON report, with
-/// the report's two-space indent and a trailing comma.
-fn count_map(out: &mut String, name: &str, map: &std::collections::BTreeMap<String, usize>) {
-    out.push_str(&format!("  \"{name}\": {{"));
-    let mut first = true;
-    for (key, n) in map {
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        out.push_str(&format!("    {}: {n}", json_str(key)));
-    }
-    out.push_str(if first { "},\n" } else { "\n  },\n" });
-}
-
-/// Minimal JSON string escaping — quotes, backslashes, and control
-/// bytes; everything else (including multi-byte UTF-8) passes through.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// One `"name": value` member of the JSON report.
+fn field(name: &str, value: &(impl ToJson + ?Sized)) -> (String, Json) {
+    (name.to_string(), value.to_json())
 }
 
 #[cfg(test)]
@@ -254,11 +197,15 @@ mod tests {
         assert!(json.contains("\"crates/x/policies/p.toml\": 3"), "{json}");
         assert!(json.contains("\"alloc_total\": 5"), "{json}");
         assert!(json.contains("\"crates/x/src/a.rs::step\": 4"), "{json}");
-        assert!(json.contains("\"x\": {\"reachable\": 4, \"in_loop\": 2}"), "{json}");
         assert!(json.contains("\"L8-shared-state\""), "{json}");
         assert!(json.contains("a \\\"quoted\\\" msg"), "{json}");
         assert!(json.contains("note\\twith tab"), "{json}");
-        assert!(json.contains("\"crates/x/src/a.rs::run\": [\"crates/x/src/a.rs:4\"]"), "{json}");
+        let parsed = Json::parse(&json).expect("the report is valid JSON");
+        let census = parsed.get("hot_alloc_census").and_then(|c| c.get("x"));
+        assert_eq!(census.and_then(|c| c.get("reachable")).and_then(Json::as_i64), Some(4));
+        assert_eq!(census.and_then(|c| c.get("in_loop")).and_then(Json::as_i64), Some(2));
+        let reach = parsed.get("panic_reach").and_then(|r| r.get("crates/x/src/a.rs::run"));
+        assert_eq!(reach, Some(&Json::Arr(vec![Json::Str("crates/x/src/a.rs:4".into())])));
     }
 
     #[test]

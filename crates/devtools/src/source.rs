@@ -67,15 +67,15 @@ const HASH_ORDER: [&str; 2] = ["HashMap", "HashSet"];
 const RNG_CONSTRUCT: [&str; 2] = ["seed_from_u64", "from_seed"];
 
 /// Thread primitives — scheduling order is nondeterministic, so thread
-/// use is confined to the schedulers whose merge discipline makes a
+/// use is confined to the one pool whose merge discipline makes a
 /// determinism argument ([`THREAD_HOMES`]). No allowlist: new thread
-/// use goes through one of those pools or not at all.
+/// use goes through that pool or not at all.
 const THREADING: [&str; 3] = ["std::thread", "thread::spawn", "thread::scope"];
 
-/// The only sanctioned homes of `std::thread`: the bench shard
-/// scheduler (merges results in submission order) and the lint's own
-/// scan pool (merges per-file results in path order).
-const THREAD_HOMES: [&str; 2] = ["crates/bench/src/shard.rs", "crates/devtools/src/pool.rs"];
+/// The only sanctioned home of `std::thread`: the index-ordered map in
+/// `lucent-support`, which returns results in index order. The bench
+/// shard scheduler and the lint's per-file scan both run on it.
+const THREAD_HOMES: [&str; 1] = ["crates/support/src/pool.rs"];
 
 /// L3: scan non-test code for determinism hazards.
 pub fn check_determinism(file: &SourceFile, lexed: &Lexed, allow: &Allow) -> Vec<Violation> {
@@ -123,8 +123,8 @@ pub fn check_determinism(file: &SourceFile, lexed: &Lexed, allow: &Allow) -> Vec
                         file.path,
                         n,
                         format!(
-                            "thread primitive `{tok}` outside the sanctioned pools \
-                             ({}) — submit a shard job instead",
+                            "thread primitive `{tok}` outside the sanctioned pool \
+                             ({}) — run the work on `pool::map_indexed` instead",
                             THREAD_HOMES.join(", ")
                         ),
                     ));
@@ -417,8 +417,9 @@ mod tests {
         let src = "std::thread::spawn(|| {});\n";
         let v = run_l3("crates/x/src/a.rs", src, &Allow::default());
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("sanctioned pools"), "{}", v[0].msg);
-        // The schedulers themselves are exempt — no allowlist entry needed.
+        let want = "outside the sanctioned pool (crates/support/src/pool.rs)";
+        assert!(v[0].msg.contains(want), "{}", v[0].msg);
+        // The pool itself is exempt — no allowlist entry needed.
         for home in super::THREAD_HOMES {
             assert!(run_l3(home, src, &Allow::default()).is_empty(), "{home}");
         }

@@ -1,11 +1,10 @@
 //! The policy compiler: TOML policy files → [`Policy`] programs.
 //!
-//! The grammar is a deliberate TOML subset — line-oriented
-//! `key = value` under `[section]` / `[[rule]]` headers, with strings,
-//! integers, floats, booleans, flat lists and flat inline tables — the
-//! same dialect the devtools config reader speaks, extended with float
-//! literals (probability gates need them) and implemented here because
-//! `crates/middlebox` sits below devtools in the layering.
+//! Policy files are read by the workspace's one TOML reader,
+//! [`lucent_support::toml`] — the same one the lint reads manifests and
+//! its allowlist with. This module adds only the policy vocabulary on
+//! top: the `[policy]`/`[match]`/`[state]`/`[[rule]]` tables, their
+//! keys, and the type each key wants.
 //!
 //! The compiler is **total**: any input, including fuzzer garbage,
 //! either compiles or returns a line-numbered [`PolicyError`] — it
@@ -40,6 +39,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use lucent_netsim::SimDuration;
+use lucent_support::toml::{self, Doc, Entry, Table, Value};
 
 use crate::matcher::HostMatcher;
 use crate::notice::NoticeStyle;
@@ -73,201 +73,44 @@ fn err<T>(line: usize, msg: String) -> Result<T, PolicyError> {
     Err(PolicyError { line, msg })
 }
 
-/// A parsed value.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    List(Vec<Val>),
-    Table(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn kind(&self) -> &'static str {
-        match self {
-            Val::Str(_) => "a string",
-            Val::Int(_) => "an integer",
-            Val::Float(_) => "a float",
-            Val::Bool(_) => "a boolean",
-            Val::List(_) => "a list",
-            Val::Table(_) => "an inline table",
-        }
+/// How a value's type reads in error messages.
+fn kind(v: &Value) -> &'static str {
+    match v {
+        Value::Str(_) => "a string",
+        Value::Int(_) => "an integer",
+        Value::Float(_) => "a float",
+        Value::Bool(_) => "a boolean",
+        Value::List(_) => "a list",
+        Value::Table(_) => "an inline table",
     }
 }
 
-/// One `key = value` line.
-#[derive(Debug)]
-struct Entry {
-    key: String,
-    val: Val,
-    line: usize,
-}
-
-/// One `[section]` or `[[rule]]` block.
-#[derive(Debug)]
-struct Sect {
-    name: String,
-    line: usize,
-    entries: Vec<Entry>,
-}
-
-/// Cut a `#` comment, respecting string literals.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
+/// Read the file and check the policy vocabulary: only `[policy]`,
+/// `[match]`, `[state]` and repeated `[[rule]]` tables, with
+/// `snake_case` keys, and no key before the first header.
+fn read_doc(text: &str) -> Result<Doc, PolicyError> {
+    let doc = toml::parse(text).map_err(|e| PolicyError { line: e.line, msg: e.msg })?;
+    for t in &doc.tables {
+        if t.array && t.name != "rule" {
+            return err(t.line, format!("unknown section [[{}]]", t.name));
         }
-    }
-    line
-}
-
-/// Split at top level on `sep`, ignoring separators inside strings,
-/// lists and inline tables.
-fn split_top(s: &str, sep: char) -> Vec<&str> {
-    // `split_top` shares its name with the devtools TOML reader, which
-    // sits in the packet parsers' L9 closure; keep this fn needle-free.
-    let mut parts = Vec::default();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '[' | '{' if !in_str => depth += 1,
-            ']' | '}' if !in_str => depth -= 1,
-            c if c == sep && !in_str && depth == 0 => {
-                parts.push(&s[start..i]);
-                start = i + c.len_utf8();
+        if !t.array && !matches!(t.name.as_str(), "" | "policy" | "match" | "state") {
+            return err(t.line, format!("unknown section [{}]", t.name));
+        }
+        for e in &t.entries {
+            if e.key.is_empty() || !e.key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                return err(e.line, "expected `key = value`".to_string());
             }
-            _ => {}
-        }
-    }
-    parts.push(&s[start..]);
-    parts
-}
-
-/// Parse one scalar, list, or inline-table value.
-fn toml_value(s: &str, line: usize) -> Result<Val, PolicyError> {
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix('"') {
-        let Some(body) = rest.strip_suffix('"') else {
-            return err(line, "unterminated string".to_string());
-        };
-        if body.contains('"') {
-            return err(line, "unterminated string".to_string());
-        }
-        if body.contains('\\') {
-            return err(line, "strings with escapes are not supported".to_string());
-        }
-        return Ok(Val::Str(body.to_string()));
-    }
-    if s == "true" {
-        return Ok(Val::Bool(true));
-    }
-    if s == "false" {
-        return Ok(Val::Bool(false));
-    }
-    if let Some(rest) = s.strip_prefix('[') {
-        let Some(body) = rest.strip_suffix(']') else {
-            return err(line, format!("malformed value `{s}`"));
-        };
-        let mut items = Vec::new();
-        if !body.trim().is_empty() {
-            for part in split_top(body, ',') {
-                items.push(toml_value(part, line)?);
-            }
-        }
-        return Ok(Val::List(items));
-    }
-    if let Some(rest) = s.strip_prefix('{') {
-        let Some(body) = rest.strip_suffix('}') else {
-            return err(line, format!("malformed value `{s}`"));
-        };
-        let mut pairs = Vec::new();
-        if !body.trim().is_empty() {
-            for part in split_top(body, ',') {
-                let Some((k, v)) = part.split_once('=') else {
-                    return err(line, format!("malformed value `{s}`"));
-                };
-                pairs.push((k.trim().to_string(), toml_value(v, line)?));
-            }
-        }
-        return Ok(Val::Table(pairs));
-    }
-    if let Ok(n) = s.parse::<i64>() {
-        return Ok(Val::Int(n));
-    }
-    if s.contains('.') {
-        if let Ok(x) = s.parse::<f64>() {
-            if x.is_finite() {
-                return Ok(Val::Float(x));
+            if t.name.is_empty() {
+                return err(e.line, format!("`{}` before any section header", e.key));
             }
         }
     }
-    err(line, format!("malformed value `{s}`"))
-}
-
-/// Scan the file into sections. Accepts only `[policy]`, `[match]`,
-/// `[state]` and repeated `[[rule]]`.
-fn doc_scan(text: &str) -> Result<Vec<Sect>, PolicyError> {
-    let mut sects: Vec<Sect> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("[[") {
-            let Some(name) = rest.strip_suffix("]]") else {
-                return err(line_no, format!("malformed section header `{line}`"));
-            };
-            let name = name.trim();
-            if name != "rule" {
-                return err(line_no, format!("unknown section [[{name}]]"));
-            }
-            sects.push(Sect { name: "rule".to_string(), line: line_no, entries: Vec::new() });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('[') {
-            let Some(name) = rest.strip_suffix(']') else {
-                return err(line_no, format!("malformed section header `{line}`"));
-            };
-            let name = name.trim();
-            if !matches!(name, "policy" | "match" | "state") {
-                return err(line_no, format!("unknown section [{name}]"));
-            }
-            if sects.iter().any(|s| s.name == name) {
-                return err(line_no, format!("duplicate section [{name}]"));
-            }
-            sects.push(Sect { name: name.to_string(), line: line_no, entries: Vec::new() });
-            continue;
-        }
-        let Some((key, val)) = line.split_once('=') else {
-            return err(line_no, "expected `key = value`".to_string());
-        };
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return err(line_no, "expected `key = value`".to_string());
-        }
-        let val = toml_value(val, line_no)?;
-        let Some(sect) = sects.last_mut() else {
-            return err(line_no, format!("`{key}` before any section header"));
-        };
-        if sect.entries.iter().any(|e| e.key == key) {
-            return err(line_no, format!("duplicate key `{key}`"));
-        }
-        sect.entries.push(Entry { key: key.to_string(), val, line: line_no });
-    }
-    Ok(sects)
+    Ok(doc)
 }
 
 /// Reject keys outside the section's vocabulary.
-fn check_keys(sect: &Sect, allowed: &[&str], label: &str) -> Result<(), PolicyError> {
+fn check_keys(sect: &Table, allowed: &[&str], label: &str) -> Result<(), PolicyError> {
     for e in &sect.entries {
         if !allowed.contains(&e.key.as_str()) {
             return err(e.line, format!("unknown key `{}` in {label}", e.key));
@@ -276,26 +119,22 @@ fn check_keys(sect: &Sect, allowed: &[&str], label: &str) -> Result<(), PolicyEr
     Ok(())
 }
 
-fn find<'a>(sect: &'a Sect, key: &str) -> Option<&'a Entry> {
-    sect.entries.iter().find(|e| e.key == key)
-}
-
 fn want_str<'a>(e: &'a Entry) -> Result<&'a str, PolicyError> {
-    match &e.val {
-        Val::Str(s) => Ok(s),
-        other => err(e.line, format!("`{}` wants a string, not {}", e.key, other.kind())),
+    match &e.value {
+        Value::Str(s) => Ok(s),
+        other => err(e.line, format!("`{}` wants a string, not {}", e.key, kind(other))),
     }
 }
 
 fn table_u64(
-    pairs: &[(String, Val)],
+    pairs: &[(String, Value)],
     key: &str,
     entry: &Entry,
     shape: &str,
 ) -> Result<u64, PolicyError> {
     for (k, v) in pairs {
         if k == key {
-            if let Val::Int(n) = v {
+            if let Value::Int(n) = v {
                 if *n >= 0 {
                     return Ok(*n as u64);
                 }
@@ -306,11 +145,11 @@ fn table_u64(
     err(entry.line, format!("`{}` wants `{shape}`", entry.key))
 }
 
-fn notice_of(sect: &Sect, overt: bool) -> Result<Option<NoticeStyle>, PolicyError> {
-    let preset = find(sect, "notice");
+fn notice_of(sect: &Table, overt: bool) -> Result<Option<NoticeStyle>, PolicyError> {
+    let preset = sect.get("notice");
     let custom: Vec<&Entry> = ["notice_iframe", "notice_server", "notice_text"]
         .iter()
-        .filter_map(|k| find(sect, k))
+        .filter_map(|k| sect.get(k))
         .collect();
     if let Some(e) = preset {
         if let Some(c) = custom.first() {
@@ -347,7 +186,7 @@ fn notice_of(sect: &Sect, overt: bool) -> Result<Option<NoticeStyle>, PolicyErro
 
 /// Compile one `[[rule]]` section (without `after` resolution, which
 /// needs the whole rule list).
-fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, usize)>), PolicyError> {
+fn rule_of_sect(sect: &Table, family: Family) -> Result<(Rule, Option<(String, usize)>), PolicyError> {
     check_keys(
         sect,
         &[
@@ -369,7 +208,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         "[[rule]]",
     )?;
 
-    let Some(trig) = find(sect, "trigger") else {
+    let Some(trig) = sect.get("trigger") else {
         return err(sect.line, "rule needs `trigger = \"host-header\"`".to_string());
     };
     match want_str(trig)? {
@@ -377,7 +216,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         other => return err(trig.line, format!("unknown trigger `{other}`")),
     }
 
-    let Some(m) = find(sect, "matcher") else {
+    let Some(m) = sect.get("matcher") else {
         return err(sect.line, "rule needs a `matcher`".to_string());
     };
     let matcher = match want_str(m)? {
@@ -387,15 +226,15 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         other => return err(m.line, format!("unknown matcher `{other}`")),
     };
 
-    let hosts = match find(sect, "hosts") {
+    let hosts = match sect.get("hosts") {
         None => HostSet::Blocklist,
-        Some(e) => match &e.val {
-            Val::Str(s) if s == "blocklist" => HostSet::Blocklist,
-            Val::Str(s) if s == "any" => HostSet::Any,
-            Val::List(items) => {
+        Some(e) => match &e.value {
+            Value::Str(s) if s == "blocklist" => HostSet::Blocklist,
+            Value::Str(s) if s == "any" => HostSet::Any,
+            Value::List(items) => {
                 let mut set = BTreeSet::new();
                 for item in items {
-                    let Val::Str(host) = item else {
+                    let Value::Str(host) = item else {
                         return err(
                             e.line,
                             "`hosts` wants \"blocklist\", \"any\", or a list of strings"
@@ -415,12 +254,12 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         },
     };
 
-    let probability = match find(sect, "probability") {
+    let probability = match sect.get("probability") {
         None => None,
         Some(e) => {
-            let p = match e.val {
-                Val::Float(x) => x,
-                Val::Int(1) => 1.0,
+            let p = match e.value {
+                Value::Float(x) => x,
+                Value::Int(1) => 1.0,
                 _ => return err(e.line, "`probability` must be within (0, 1]".to_string()),
             };
             if !(p > 0.0 && p <= 1.0) {
@@ -430,10 +269,10 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         }
     };
 
-    let Some(act) = find(sect, "action") else {
+    let Some(act) = sect.get("action") else {
         return err(sect.line, "rule needs a non-empty `action`".to_string());
     };
-    let Val::List(verbs) = &act.val else {
+    let Value::List(verbs) = &act.value else {
         return err(act.line, "`action` wants a list of verbs".to_string());
     };
     if verbs.is_empty() {
@@ -442,7 +281,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
     let (mut pass, mut inject_notice, mut inject_rst, mut reset_server, mut drop_flow) =
         (false, false, false, false, false);
     for v in verbs {
-        let Val::Str(verb) = v else {
+        let Value::Str(verb) = v else {
             return err(act.line, "`action` wants a list of verbs".to_string());
         };
         match verb.as_str() {
@@ -469,8 +308,8 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         }
     }
 
-    let delay_entry = find(sect, "delay_us");
-    let slow_entry = find(sect, "slow");
+    let delay_entry = sect.get("delay_us");
+    let slow_entry = sect.get("slow");
     if family == Family::Interceptive {
         if let Some(e) = delay_entry.or(slow_entry) {
             return err(
@@ -483,7 +322,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         None if family == Family::Wiretap && !pass => Some((300, 900)),
         None => None,
         Some(e) => {
-            let Val::Table(pairs) = &e.val else {
+            let Value::Table(pairs) = &e.value else {
                 return err(e.line, "`delay_us` wants `{ lo = <us>, hi = <us> }`".to_string());
             };
             for (k, _) in pairs {
@@ -502,7 +341,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
     let slow = match slow_entry {
         None => None,
         Some(e) => {
-            let Val::Table(pairs) = &e.val else {
+            let Value::Table(pairs) = &e.value else {
                 return err(
                     e.line,
                     "`slow` wants `{ p = <0-1>, lo = <us>, hi = <us> }`".to_string(),
@@ -511,8 +350,8 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
             let mut p = None;
             for (k, v) in pairs {
                 match (k.as_str(), v) {
-                    ("p", Val::Float(x)) => p = Some(*x),
-                    ("p", Val::Int(1)) => p = Some(1.0),
+                    ("p", Value::Float(x)) => p = Some(*x),
+                    ("p", Value::Int(1)) => p = Some(1.0),
                     ("lo" | "hi", _) => {}
                     _ => {
                         return err(
@@ -540,15 +379,15 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         }
     };
 
-    let ip_id = match find(sect, "ip_id") {
+    let ip_id = match sect.get("ip_id") {
         None => match family {
             Family::Wiretap => IpIdSpec::SeqHash,
             Family::Interceptive => IpIdSpec::DeviceMark,
         },
-        Some(e) => match &e.val {
-            Val::Int(n) if (0..=0xffff).contains(n) => IpIdSpec::Fixed(*n as u16),
-            Val::Str(s) if s == "hashed" => IpIdSpec::SeqHash,
-            Val::Str(s) if s == "device" => IpIdSpec::DeviceMark,
+        Some(e) => match &e.value {
+            Value::Int(n) if (0..=0xffff).contains(n) => IpIdSpec::Fixed(*n as u16),
+            Value::Str(s) if s == "hashed" => IpIdSpec::SeqHash,
+            Value::Str(s) if s == "device" => IpIdSpec::DeviceMark,
             _ => {
                 return err(
                     e.line,
@@ -561,7 +400,7 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
     let action = if pass {
         for e in ["notice", "notice_iframe", "notice_server", "notice_text", "ip_id", "delay_us", "slow"]
             .iter()
-            .filter_map(|k| find(sect, k))
+            .filter_map(|k| sect.get(k))
         {
             return err(e.line, format!("`{}` is meaningless on a pass rule", e.key));
         }
@@ -584,11 +423,11 @@ fn rule_of_sect(sect: &Sect, family: Family) -> Result<(Rule, Option<(String, us
         })
     };
 
-    let name = match find(sect, "name") {
+    let name = match sect.get("name") {
         None => None,
         Some(e) => Some(want_str(e)?.to_string()),
     };
-    let after_ref = match find(sect, "after") {
+    let after_ref = match sect.get("after") {
         None => None,
         Some(e) => Some((want_str(e)?.to_string(), e.line)),
     };
@@ -608,17 +447,17 @@ pub fn compile(text: &str) -> Result<Policy, PolicyError> {
 /// equality); the line table is the side channel the `policycheck`
 /// analyzer in devtools uses to pin L11/L12 findings back to the file.
 pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyError> {
-    let sects = doc_scan(text)?;
+    let doc = read_doc(text)?;
 
-    let Some(policy_sect) = sects.iter().find(|s| s.name == "policy") else {
+    let Some(policy_sect) = doc.table("policy") else {
         return err(0, "policy needs a [policy] section".to_string());
     };
     check_keys(policy_sect, &["name", "family"], "[policy]")?;
-    let Some(name_e) = find(policy_sect, "name") else {
+    let Some(name_e) = policy_sect.get("name") else {
         return err(policy_sect.line, "policy needs a `name`".to_string());
     };
     let name = want_str(name_e)?.to_string();
-    let Some(fam_e) = find(policy_sect, "family") else {
+    let Some(fam_e) = policy_sect.get("family") else {
         return err(policy_sect.line, "policy needs a `family`".to_string());
     };
     let family = match want_str(fam_e)? {
@@ -632,19 +471,19 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
         p.insert(80u16);
         Some(p)
     };
-    if let Some(match_sect) = sects.iter().find(|s| s.name == "match") {
+    if let Some(match_sect) = doc.table("match") {
         check_keys(match_sect, &["ports"], "[match]")?;
-        if let Some(e) = find(match_sect, "ports") {
-            ports = match &e.val {
-                Val::Str(s) if s == "any" => None,
-                Val::List(items) if !items.is_empty() => {
+        if let Some(e) = match_sect.get("ports") {
+            ports = match &e.value {
+                Value::Str(s) if s == "any" => None,
+                Value::List(items) if !items.is_empty() => {
                     let mut set = BTreeSet::new();
                     for item in items {
                         match item {
-                            Val::Int(n) if (1..=0xffff).contains(n) => {
+                            Value::Int(n) if (1..=0xffff).contains(n) => {
                                 set.insert(*n as u16);
                             }
-                            Val::Int(n) => {
+                            Value::Int(n) => {
                                 return err(e.line, format!("port {n} is outside 1-65535"))
                             }
                             _ => {
@@ -665,11 +504,11 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
     }
 
     let mut flow_timeout = SimDuration::from_secs(150);
-    if let Some(state_sect) = sects.iter().find(|s| s.name == "state") {
+    if let Some(state_sect) = doc.table("state") {
         check_keys(state_sect, &["flow_timeout_secs"], "[state]")?;
-        if let Some(e) = find(state_sect, "flow_timeout_secs") {
-            match e.val {
-                Val::Int(n) if (1..=86_400).contains(&n) => {
+        if let Some(e) = state_sect.get("flow_timeout_secs") {
+            match e.value {
+                Value::Int(n) if (1..=86_400).contains(&n) => {
                     flow_timeout = SimDuration::from_secs(n as u64);
                 }
                 _ => {
@@ -682,7 +521,7 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
         }
     }
 
-    let rule_sects: Vec<&Sect> = sects.iter().filter(|s| s.name == "rule").collect();
+    let rule_sects: Vec<&Table> = doc.tables.iter().filter(|t| t.array).collect();
     if rule_sects.is_empty() {
         return err(0, "a policy needs at least one [[rule]]".to_string());
     }
@@ -698,7 +537,7 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
             if rules.iter().any(|r: &Rule| r.name.as_deref() == Some(rule_name)) {
                 // Pin the error to the `name =` entry itself, not the
                 // `[[rule]]` header — the name is the offender.
-                let line = find(sect, "name").map(|e| e.line).unwrap_or(sect.line);
+                let line = sect.get("name").map(|e| e.line).unwrap_or(sect.line);
                 return err(line, format!("duplicate rule name `{rule_name}`"));
             }
         }

@@ -10,9 +10,14 @@
 //! * [`json`] — deterministic JSON tree, writer, parser, and the
 //!   [`json::ToJson`] trait with derive-style macros (was `serde` +
 //!   `serde_json`)
-//! * [`prop`] — a micro property-testing harness (was `proptest`)
+//! * [`toml`] — the line-pinned TOML reader for manifests, the lint
+//!   allowlist and censor-policy programs
+//! * [`pool`] — the index-ordered scoped thread map, the workspace's
+//!   only sanctioned home of `std::thread`
 //! * [`bench`] — a micro benchmark harness and the workspace's only
 //!   sanctioned wall-clock access (was `criterion`)
+//!
+//! Property testing lives one layer up, in `lucent-check`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,8 +25,9 @@
 pub mod bench;
 pub mod buf;
 pub mod json;
-pub mod prop;
+pub mod pool;
 pub mod rng;
+pub mod toml;
 
 pub use buf::Bytes;
 pub use json::{Json, ToJson};

@@ -3,7 +3,7 @@
 //! world), JSON round-trips on result-shaped documents, and the Bytes
 //! sharing semantics the packet layer depends on.
 
-use lucent_support::{prop, Bytes, Json, Rng64};
+use lucent_support::{Bytes, Json, Rng64};
 
 /// The exact first outputs of xoshiro256** under SplitMix64 expansion.
 /// These values are the contract: if they ever change, every seeded
@@ -50,20 +50,6 @@ fn equal_seeds_agree_and_different_seeds_diverge() {
     let zs: Vec<u64> = (0..64).map(|_| c.next_u64()).collect();
     assert_eq!(xs, ys);
     assert_ne!(xs, zs);
-}
-
-#[test]
-fn gen_range_and_index_respect_bounds() {
-    prop::check(200, |rng| {
-        let v = rng.gen_range(10..20u32);
-        assert!((10..20).contains(&v));
-        let w = rng.gen_range(5..=5u64);
-        assert_eq!(w, 5);
-        let i = rng.index(7);
-        assert!(i < 7);
-        let p = rng.gen::<f64>();
-        assert!((0.0..1.0).contains(&p));
-    });
 }
 
 /// Round-trip a document shaped like the experiment result files
@@ -135,19 +121,4 @@ fn bytes_clones_share_storage_and_slices_are_views() {
     assert!(empty.is_empty());
     assert_eq!(b.slice(5..5).len(), 0);
     assert_eq!(b.slice(..).len(), b.len());
-}
-
-#[test]
-fn prop_generators_hit_their_contracts() {
-    prop::check(50, |rng| {
-        let v = prop::vec_u8(rng, 0..16);
-        assert!(v.len() < 16);
-        let s = prop::alnum_lower(rng, 3..=8);
-        assert!((3..=8).contains(&s.len()));
-        assert!(s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
-        let letters = prop::string_of(rng, "ab", 4..=4);
-        assert!(letters.chars().all(|c| c == 'a' || c == 'b'));
-        let pick = prop::select(rng, &[1, 2, 3]);
-        assert!([1, 2, 3].contains(pick));
-    });
 }

@@ -1,5 +1,6 @@
 //! Cross-crate property tests: determinism of the whole world, matcher /
-//! server parse agreements, and wire fidelity of live traffic.
+//! server parse agreements, wire fidelity of live traffic, and the
+//! bounds of the seeded RNG's draws.
 //!
 //! The drawn-input properties run on the `lucent-check` harness with its
 //! shared `packets` generators, so a failure reports a shrunk,
@@ -12,6 +13,7 @@ use lucent_core::lab::{Lab, FETCH_TIMEOUT_MS};
 use lucent_middlebox::HostMatcher;
 use lucent_packet::http::{HttpRequest, RequestBuilder, RequestParseMode};
 use lucent_packet::Packet;
+use lucent_support::Rng64;
 use lucent_topology::{India, IndiaConfig, IspId};
 
 #[test]
@@ -66,6 +68,23 @@ fn rfc_server_parse_is_whitespace_invariant() {
         let (a, _) = HttpRequest::parse(&canonical, RequestParseMode::Rfc).unwrap();
         let (b, _) = HttpRequest::parse(&fudged, RequestParseMode::Rfc).unwrap();
         assert_eq!(a.host(), b.host());
+    });
+}
+
+/// The seeded RNG's bounded draws stay inside their bounds for any
+/// seed.
+#[test]
+fn gen_range_and_index_respect_bounds() {
+    check(&Config::cases(200), |s: &mut Source| {
+        let mut rng = Rng64::seed_from_u64(s.any_u64());
+        let v = rng.gen_range(10..20u32);
+        assert!((10..20).contains(&v));
+        let w = rng.gen_range(5..=5u64);
+        assert_eq!(w, 5);
+        let i = rng.index(7);
+        assert!(i < 7);
+        let p = rng.gen::<f64>();
+        assert!((0.0..1.0).contains(&p));
     });
 }
 
