@@ -12,6 +12,10 @@
 //! `update-baseline` tightens the baseline in place — events/sec only
 //! ratchets up, wall time only down — and **refuses** to run when the
 //! measurement regresses, so a bad run can never become the new floor.
+//! Both commands also apply the scale-invariance gate to the
+//! measurement: an experiment recorded at `small` and `paper` fails
+//! when its `paper` events/sec is below
+//! [`ratchet::SCALE_INVARIANCE_K`] × its `small` events/sec.
 
 use std::path::PathBuf;
 

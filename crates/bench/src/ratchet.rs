@@ -15,8 +15,21 @@
 //! far below the floor a run may land before CI calls it a regression.
 //! A band ≥ 1.0 would make the throughput check vacuous
 //! (`floor × (1 − band) ≤ 0`), so [`check`] rejects it up front.
+//!
+//! [`check`] also gates **scale invariance** within the measurement:
+//! an experiment recorded at both `small` and `paper` scale (same
+//! thread count) fails when its `paper` throughput falls below
+//! [`SCALE_INVARIANCE_K`] × its `small` throughput. Per-event cost that
+//! grows with the size of the world shows up here first; `small` alone
+//! hid a 4–6x per-event slowdown at `paper`.
 
 use crate::benchfile::Entry;
+
+/// The scale-invariance floor: `events_per_sec@paper` must be at least
+/// this fraction of `events_per_sec@small` for the same experiment and
+/// thread count. A constant, not a flag, so loosening it is a reviewed
+/// code change rather than a command-line edit.
+pub const SCALE_INVARIANCE_K: f64 = 0.5;
 
 /// The verdict of one [`check`] run.
 #[derive(Debug, Default)]
@@ -45,7 +58,8 @@ fn find<'a>(entries: &'a [(String, Entry)], key: &str) -> Option<&'a Entry> {
 /// failure. Throughput above `floor × (1 + band)` earns a note
 /// suggesting a baseline update. Measured keys absent from the
 /// baseline are noted, never failed — the ratchet only guards what it
-/// has already locked in.
+/// has already locked in. Finally the measurement must pass the
+/// scale-invariance gate (see [`SCALE_INVARIANCE_K`]).
 pub fn check(measured: &[(String, Entry)], baseline: &[(String, Entry)], band: f64) -> Outcome {
     let mut out = Outcome::default();
     if !(0.0..1.0).contains(&band) {
@@ -94,7 +108,39 @@ pub fn check(measured: &[(String, Entry)], baseline: &[(String, Entry)], band: f
             out.notes.push(format!("{key}: not in baseline yet; update-baseline will add it"));
         }
     }
+    scale_invariance(measured, &mut out);
     out
+}
+
+/// Fail every experiment whose `paper` throughput is below
+/// [`SCALE_INVARIANCE_K`] × its `small` throughput at the same thread
+/// count. Experiments measured at only one of the two scales, or
+/// without a throughput figure, are not compared.
+fn scale_invariance(measured: &[(String, Entry)], out: &mut Outcome) {
+    for (key, at_paper) in measured {
+        let mut parts = key.splitn(3, '@');
+        let (Some(exp), Some("paper"), Some(threads)) = (parts.next(), parts.next(), parts.next())
+        else {
+            continue;
+        };
+        let Some(at_small) = find(measured, &format!("{exp}@small@{threads}")) else { continue };
+        let (Some(paper_eps), Some(small_eps)) = (at_paper.events_per_sec, at_small.events_per_sec)
+        else {
+            continue;
+        };
+        let ratio = paper_eps / small_eps;
+        if ratio < SCALE_INVARIANCE_K {
+            out.failures.push(format!(
+                "{exp}@{threads}: scale-invariance regression: {paper_eps:.0} events/sec at paper \
+                 < {SCALE_INVARIANCE_K} x {small_eps:.0} at small (ratio {ratio:.2})"
+            ));
+        } else {
+            out.notes.push(format!(
+                "{exp}@{threads}: paper/small events/sec ratio {ratio:.2} \
+                 (scale-invariance floor {SCALE_INVARIANCE_K})"
+            ));
+        }
+    }
 }
 
 /// Tighten `baseline` from `measured`, refusing on any [`check`]
@@ -206,6 +252,52 @@ mod tests {
         let next = update(&measured, &base, 0.25).unwrap();
         assert_eq!(next.len(), 2);
         assert_eq!(next[1].0, "fresh");
+    }
+
+    fn scaled(exp_eps: [(&str, f64); 2]) -> Vec<(String, Entry)> {
+        exp_eps.iter().map(|(k, eps)| (k.to_string(), entry(1.0, *eps))).collect()
+    }
+
+    #[test]
+    fn paper_throughput_far_below_small_fails_the_scale_gate() {
+        let measured = scaled([("t2@small@threads=1", 1000.0), ("t2@paper@threads=1", 150.0)]);
+        let out = check(&measured, &[], 0.25);
+        assert!(!out.ok());
+        assert!(out.failures[0].contains("scale-invariance regression"), "{:?}", out.failures);
+        assert!(out.failures[0].contains("ratio 0.15"), "{:?}", out.failures);
+        // The gate is part of `check`, so a regressed measurement can
+        // never be laundered into a baseline either.
+        assert!(update(&measured, &[], 0.25).is_err());
+    }
+
+    #[test]
+    fn scale_gate_passes_at_the_floor_and_notes_the_ratio() {
+        let measured = scaled([("t2@small@threads=1", 1000.0), ("t2@paper@threads=1", 500.0)]);
+        let out = check(&measured, &[], 0.25);
+        assert!(out.ok(), "{:?}", out.failures);
+        assert!(out.notes.iter().any(|n| n.contains("ratio 0.50")), "{:?}", out.notes);
+    }
+
+    #[test]
+    fn scale_gate_pairs_only_matching_thread_counts() {
+        let measured = scaled([("t2@small@threads=4", 1000.0), ("t2@paper@threads=1", 100.0)]);
+        assert!(check(&measured, &[], 0.25).ok());
+        let no_eps = vec![
+            ("t2@small@threads=1".to_string(), entry(1.0, 1000.0)),
+            ("t2@paper@threads=1".to_string(), Entry { wall_secs: 1.0, events: None, events_per_sec: None }),
+        ];
+        assert!(check(&no_eps, &[], 0.25).ok());
+    }
+
+    #[test]
+    fn committed_scale_fixtures_go_red_and_green() {
+        let parse = |text: &str| crate::benchfile::parse(text).expect("fixture parses");
+        let base = parse(include_str!("../fixtures/bench-baseline.json"));
+        let red = check(&parse(include_str!("../fixtures/bench-scale-regressed.json")), &base, 0.75);
+        assert_eq!(red.failures.len(), 1, "{:?}", red.failures);
+        assert!(red.failures[0].contains("scale-invariance regression"), "{:?}", red.failures);
+        let green = check(&parse(include_str!("../fixtures/bench-scale-invariant.json")), &base, 0.75);
+        assert!(green.ok(), "{:?}", green.failures);
     }
 
     #[test]

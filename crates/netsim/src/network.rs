@@ -309,6 +309,11 @@ impl Network {
     /// Enqueue a [`crate::WAKE`] timer for `node` at the current instant —
     /// the driver-side kick after mutating application state through
     /// [`Network::node_mut`].
+    ///
+    /// What a wake does is the node's contract. A TCP host flushes its
+    /// outboxes and polls only the sockets touched through its driver API
+    /// since the last wake, so the cost of a wake is independent of how
+    /// many sockets the host has ever opened.
     pub fn wake(&mut self, node: NodeId) {
         self.inner.schedule_timer(node, SimDuration::ZERO, WAKE);
     }

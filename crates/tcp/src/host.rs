@@ -68,12 +68,31 @@ fn decode_timer(token: u64) -> (u64, SocketId, u64) {
 }
 
 /// A general-purpose end host.
+///
+/// Wake contract: a [`WAKE`] timer (queued by
+/// [`lucent_netsim::Network::wake`]) flushes the raw and UDP outboxes,
+/// then polls only the sockets touched through the driver API
+/// (`connect`, `connect_from`, `send`, `close`, `abort`) since the last
+/// wake, in ascending id order. Every other input (inbound segments,
+/// accepts, retransmit and TIME-WAIT timers) polls its socket inline,
+/// and [`Tcb::poll`] is idempotent between inputs, so an untouched
+/// socket owes nothing on wake and the cost of a wake does not grow
+/// with the number of sockets the host has ever opened.
 pub struct TcpHost {
     /// The host's address.
     pub ip: Ipv4Addr,
     label: String,
     rng: SimRng,
+    /// Socket table, indexed by [`SocketId`].
+    ///
+    /// Note on lifetime: closed sockets are retained (with drained
+    /// buffers) so drivers can inspect their event logs after the fact;
+    /// a host's memory therefore grows with its total connection count,
+    /// which is bounded by the experiment driving it.
     sockets: Vec<Option<Tcb>>,
+    /// Sockets touched through the driver API since the last wake; the
+    /// wake polls exactly these (sorted, deduplicated).
+    ready: Vec<SocketId>,
     apps: BTreeMap<SocketId, Box<dyn SocketApp>>,
     dispatched: BTreeMap<SocketId, usize>,
     /// (local port, remote ip, remote port) → socket.
@@ -81,11 +100,6 @@ pub struct TcpHost {
     listeners: BTreeMap<u16, Box<dyn Fn() -> Box<dyn SocketApp>>>,
     next_port: u16,
     /// Inbound packet filter (the `iptables` model).
-    ///
-    /// Note on lifetime: closed sockets are retained (with drained
-    /// buffers) so drivers can inspect their event logs after the fact;
-    /// a host's memory therefore grows with its total connection count,
-    /// which is bounded by the experiment driving it.
     pub firewall: Firewall,
     pcap_enabled: bool,
     pcap: Vec<(SimTime, Packet)>,
@@ -109,6 +123,7 @@ impl TcpHost {
             label: label.into(),
             rng: SimRng::seed_from_u64(seed ^ u64::from(u32::from(ip))),
             sockets: Vec::new(),
+            ready: Vec::default(),
             apps: BTreeMap::new(),
             dispatched: BTreeMap::new(),
             tuples: BTreeMap::new(),
@@ -154,6 +169,7 @@ impl TcpHost {
         let id = SocketId(self.sockets.len() as u32);
         self.sockets.push(Some(tcb));
         self.tuples.insert((local_port, dst, dst_port), id);
+        self.ready.push(id);
         id
     }
 
@@ -177,20 +193,24 @@ impl TcpHost {
     pub fn send(&mut self, id: SocketId, bytes: &[u8]) {
         if let Some(tcb) = self.tcb_mut(id) {
             tcb.send(bytes);
+            self.ready.push(id);
         }
     }
 
-    /// Orderly close.
+    /// Orderly close: the FIN goes out once queued data has been sent,
+    /// starting on the next wake.
     pub fn close(&mut self, id: SocketId) {
         if let Some(tcb) = self.tcb_mut(id) {
             tcb.close();
+            self.ready.push(id);
         }
     }
 
-    /// Abort with RST.
+    /// Abort: the RST goes out on the next wake.
     pub fn abort(&mut self, id: SocketId) {
         if let Some(tcb) = self.tcb_mut(id) {
             tcb.abort();
+            self.ready.push(id);
         }
     }
 
@@ -540,12 +560,16 @@ impl Node for TcpHost {
             for pkt in std::mem::take(&mut self.outbox) {
                 ctx.send(IfaceId::PRIMARY, pkt);
             }
-            for i in 0..self.sockets.len() {
-                let id = SocketId(i as u32);
-                if self.tcb(id).is_some() {
-                    self.poll_socket(ctx, id);
-                }
+            let mut ready = std::mem::take(&mut self.ready);
+            ready.sort_unstable();
+            ready.dedup();
+            for &id in &ready {
+                self.poll_socket(ctx, id);
             }
+            // Polling never touches the ready set; hand the buffer back
+            // so its capacity is reused by the next wake.
+            ready.clear();
+            self.ready = ready;
             return;
         }
         let (kind, id, gen) = decode_timer(token);
@@ -576,5 +600,123 @@ impl Node for TcpHost {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::FixedResponder;
+    use lucent_netsim::{Network, NodeId, SimDuration};
+
+    const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+    const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+    const RESPONSE: &[u8] = b"HTTP/1.1 200 OK\r\n\r\nhi";
+
+    /// client -- server over one 1 ms link; port 80 stays idle until a
+    /// request arrives, then answers with a fixed response and closes.
+    fn build() -> (Network, NodeId, NodeId) {
+        let mut net = Network::new();
+        let client = net.add_node(Box::new(TcpHost::new(CLIENT_IP, "client", 1)));
+        let mut server = TcpHost::new(SERVER_IP, "server", 2);
+        server.listen(80, || Box::new(FixedResponder::new(RESPONSE.to_vec())));
+        let server = net.add_node(Box::new(server));
+        net.connect(client, IfaceId::PRIMARY, server, IfaceId::PRIMARY, SimDuration::from_millis(1));
+        (net, client, server)
+    }
+
+    fn host(net: &mut Network, id: NodeId) -> &mut TcpHost {
+        net.node_mut::<TcpHost>(id).expect("tcp host")
+    }
+
+    fn settle(net: &mut Network) {
+        net.run_until_idle(1_000_000);
+    }
+
+    /// TCP flags of every segment the server captured.
+    fn captured_flags(net: &mut Network, server: NodeId) -> Vec<TcpFlags> {
+        host(net, server)
+            .take_pcap()
+            .iter()
+            .filter_map(|(_, p)| p.as_tcp().map(|(h, _)| h.flags))
+            .collect()
+    }
+
+    #[test]
+    fn wake_polls_only_touched_sockets_after_many_fetches() {
+        let (mut net, client, _) = build();
+        for _ in 0..2000 {
+            let sock = host(&mut net, client).connect(SERVER_IP, 80);
+            host(&mut net, client).send(sock, b"GET / HTTP/1.1\r\n\r\n");
+            net.wake(client);
+            settle(&mut net);
+            assert!(host(&mut net, client).ready.is_empty());
+            assert_eq!(host(&mut net, client).take_received(sock), RESPONSE);
+            host(&mut net, client).close(sock);
+            net.wake(client);
+            settle(&mut net);
+            let c = host(&mut net, client);
+            assert!(c.ready.is_empty());
+            assert_eq!(c.state(sock), TcpState::Closed);
+        }
+        assert_eq!(host(&mut net, client).sockets.len(), 2000);
+
+        // One more connection, established and idle: a send puts exactly
+        // that socket on the ready set, and the wake drains it.
+        let sock = host(&mut net, client).connect(SERVER_IP, 80);
+        net.wake(client);
+        settle(&mut net);
+        assert_eq!(host(&mut net, client).state(sock), TcpState::Established);
+        host(&mut net, client).send(sock, b"GET / HTTP/1.1\r\n\r\n");
+        assert_eq!(host(&mut net, client).ready, vec![sock]);
+        net.wake(client);
+        settle(&mut net);
+        assert!(host(&mut net, client).ready.is_empty());
+        assert_eq!(host(&mut net, client).take_received(sock), RESPONSE);
+        assert_eq!(host(&mut net, client).sockets.len(), 2001);
+    }
+
+    #[test]
+    fn abort_on_idle_established_socket_sends_one_rst_on_wake() {
+        let (mut net, client, server) = build();
+        let sock = host(&mut net, client).connect(SERVER_IP, 80);
+        net.wake(client);
+        settle(&mut net);
+        assert_eq!(host(&mut net, client).state(sock), TcpState::Established);
+        host(&mut net, server).enable_pcap();
+        // Idle since its last poll: nothing is owed.
+        net.wake(client);
+        settle(&mut net);
+        assert!(captured_flags(&mut net, server).is_empty());
+
+        host(&mut net, client).abort(sock);
+        net.wake(client);
+        settle(&mut net);
+        let flags = captured_flags(&mut net, server);
+        assert_eq!(flags.len(), 1, "{flags:?}");
+        assert!(flags[0].contains(TcpFlags::RST));
+        assert_eq!(host(&mut net, client).state(sock), TcpState::Closed);
+    }
+
+    #[test]
+    fn connect_send_close_before_one_wake_emits_one_syn() {
+        let (mut net, client, server) = build();
+        host(&mut net, server).enable_pcap();
+        let c = host(&mut net, client);
+        let sock = c.connect(SERVER_IP, 80);
+        c.send(sock, b"GET / HTTP/1.1\r\n\r\n");
+        c.close(sock);
+        assert_eq!(c.ready, vec![sock; 3]);
+        net.wake(client);
+        net.run_for(SimDuration::from_millis(1));
+        let flags = captured_flags(&mut net, server);
+        assert_eq!(flags, vec![TcpFlags::SYN], "one SYN and nothing else reaches the wire first");
+        settle(&mut net);
+        let syns = captured_flags(&mut net, server)
+            .iter()
+            .filter(|f| f.contains(TcpFlags::SYN))
+            .count();
+        assert_eq!(syns, 0, "the SYN is never repeated");
+        assert_eq!(host(&mut net, client).received(sock), RESPONSE);
     }
 }
