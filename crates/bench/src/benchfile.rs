@@ -5,16 +5,18 @@
 //! `lucent-bench/1` value schema:
 //!
 //! ```json
-//! { "events": 123456, "events_per_sec": 77722.5, "wall_secs": 1.59 }
+//! { "allocs_per_event": 2.41, "events": 123456, "events_per_sec": 77722.5,
+//!   "wall_secs": 1.59 }
 //! ```
 //!
-//! `wall_secs` is mandatory; `events` and `events_per_sec` are optional
-//! so tool entries that have no simulator-event notion (the lint pass)
-//! stay representable. **Unknown keys are rejected**, both on load and
-//! on upsert: the perf ratchet diffs these files across commits, and a
-//! silently-carried stray key would make two semantically equal files
-//! compare unequal forever. Schema growth therefore has to happen here,
-//! by extending [`KNOWN_KEYS`], never ad hoc at a call site.
+//! `wall_secs` is mandatory; `events`, `events_per_sec` and
+//! `allocs_per_event` are optional so tool entries that have no
+//! simulator-event notion (the lint pass) stay representable. **Unknown
+//! keys are rejected**, both on load and on upsert: the perf ratchet
+//! diffs these files across commits, and a silently-carried stray key
+//! would make two semantically equal files compare unequal forever.
+//! Schema growth therefore has to happen here, by extending
+//! [`KNOWN_KEYS`], never ad hoc at a call site.
 //!
 //! Everything is rendered with sorted keys and two-space indentation so
 //! the committed file diffs minimally under upserts.
@@ -28,10 +30,10 @@ pub const SCHEMA: &str = "lucent-bench/1";
 
 /// Every key an entry value may carry, sorted. Extend this list (and
 /// [`Entry`]) to grow the schema; anything else is a load/upsert error.
-pub const KNOWN_KEYS: [&str; 3] = ["events", "events_per_sec", "wall_secs"];
+pub const KNOWN_KEYS: [&str; 4] = ["allocs_per_event", "events", "events_per_sec", "wall_secs"];
 
 /// One benchmark measurement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Entry {
     /// Wall-clock seconds for the whole run. Mandatory.
     pub wall_secs: f64,
@@ -40,12 +42,19 @@ pub struct Entry {
     pub events: Option<u64>,
     /// Throughput, `events / wall_secs`. Absent when `events` is.
     pub events_per_sec: Option<f64>,
+    /// Heap allocations (`alloc`, `alloc_zeroed` and `realloc` calls)
+    /// over the whole process, divided by `events`. Absent for runs
+    /// without a counting allocator.
+    pub allocs_per_event: Option<f64>,
 }
 
 impl Entry {
     /// The entry's JSON value with sorted keys, omitting absent fields.
     pub fn to_json(&self) -> Json {
         let mut members = Vec::default();
+        if let Some(ape) = self.allocs_per_event {
+            members.push(("allocs_per_event".to_string(), ape.to_json()));
+        }
         if let Some(ev) = self.events {
             members.push(("events".to_string(), ev.to_json()));
         }
@@ -68,6 +77,7 @@ impl Entry {
         let mut wall: Option<f64> = None;
         let mut events = None;
         let mut events_per_sec = None;
+        let mut allocs_per_event = None;
         for (k, v) in members {
             match k.as_str() {
                 "wall_secs" => {
@@ -82,6 +92,9 @@ impl Entry {
                 "events_per_sec" => {
                     events_per_sec = Some(checked_measure(key, "events_per_sec", v)?);
                 }
+                "allocs_per_event" => {
+                    allocs_per_event = Some(checked_measure(key, "allocs_per_event", v)?);
+                }
                 other => {
                     return Err(format!(
                         "entry {key:?}: unknown key {other:?} (schema {SCHEMA} allows {KNOWN_KEYS:?})"
@@ -92,7 +105,7 @@ impl Entry {
         let Some(wall_secs) = wall else {
             return Err(format!("entry {key:?}: missing wall_secs"));
         };
-        Ok(Entry { wall_secs, events, events_per_sec })
+        Ok(Entry { wall_secs, events, events_per_sec, allocs_per_event })
     }
 }
 
@@ -161,13 +174,18 @@ mod tests {
     use super::*;
 
     fn full() -> Entry {
-        Entry { wall_secs: 1.5, events: Some(3000), events_per_sec: Some(2000.0) }
+        Entry {
+            wall_secs: 1.5,
+            events: Some(3000),
+            events_per_sec: Some(2000.0),
+            allocs_per_event: Some(2.4072),
+        }
     }
 
     #[test]
     fn roundtrips_and_sorts_keys() {
         let mut entries = vec![("b@tiny@threads=1".to_string(), full())];
-        upsert(&mut entries, "a@tiny@threads=1", Entry { wall_secs: 0.5, events: None, events_per_sec: None });
+        upsert(&mut entries, "a@tiny@threads=1", Entry { wall_secs: 0.5, ..Entry::default() });
         let text = render(&entries);
         assert!(text.find("a@tiny").unwrap() < text.find("b@tiny").unwrap(), "{text}");
         let back = parse(&text).unwrap();
@@ -179,7 +197,7 @@ mod tests {
     #[test]
     fn upsert_replaces_in_place() {
         let mut entries = vec![("k".to_string(), full())];
-        upsert(&mut entries, "k", Entry { wall_secs: 9.0, events: None, events_per_sec: None });
+        upsert(&mut entries, "k", Entry { wall_secs: 9.0, ..Entry::default() });
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].1.wall_secs, 9.0);
         assert_eq!(entries[0].1.events, None);
@@ -207,6 +225,9 @@ mod tests {
         let err = parse(r#"{"k": {"wall_secs": 1.0, "events_per_sec": 1e999}}"#).unwrap_err();
         assert!(err.contains("events_per_sec"), "{err}");
         assert!(err.contains("finite"), "{err}");
+        let err = parse(r#"{"k": {"wall_secs": 1.0, "allocs_per_event": 1e999}}"#).unwrap_err();
+        assert!(err.contains("allocs_per_event"), "{err}");
+        assert!(err.contains("finite"), "{err}");
     }
 
     #[test]
@@ -215,6 +236,8 @@ mod tests {
         assert!(err.contains("non-negative"), "{err}");
         let err = parse(r#"{"k": {"wall_secs": 1.0, "events_per_sec": -2.0}}"#).unwrap_err();
         assert!(err.contains("events_per_sec"), "{err}");
+        let err = parse(r#"{"k": {"wall_secs": 1.0, "allocs_per_event": -0.5}}"#).unwrap_err();
+        assert!(err.contains("allocs_per_event"), "{err}");
     }
 
     #[test]
@@ -222,5 +245,6 @@ mod tests {
         let entries = parse(r#"{"lucent-lint@workspace@threads=4": {"wall_secs": 0.131}}"#).unwrap();
         assert_eq!(entries[0].1.events, None);
         assert_eq!(entries[0].1.events_per_sec, None);
+        assert_eq!(entries[0].1.allocs_per_event, None);
     }
 }

@@ -9,9 +9,12 @@
 //! `BENCH_repro.json`, as written by `repro`) against the committed
 //! `--baseline` (default `BENCH_baseline.json`) under a ±`--band`
 //! tolerance (default 0.25 = ±25%), exiting 1 on any regression.
-//! `update-baseline` tightens the baseline in place — events/sec only
-//! ratchets up, wall time only down — and **refuses** to run when the
-//! measurement regresses, so a bad run can never become the new floor.
+//! A baseline entry with `allocs_per_event` also fails a measurement
+//! that allocates more than [`ratchet::ALLOC_SLACK`] above it per event,
+//! whatever the band. `update-baseline` tightens the baseline in place
+//! — events/sec only ratchets up, wall time and allocs/event only down
+//! — and **refuses** to run when the measurement regresses, so a bad
+//! run can never become the new floor.
 //! Both commands also apply the scale-invariance gate to the
 //! measurement: an experiment recorded at `small` and `paper` fails
 //! when its `paper` events/sec is below

@@ -23,9 +23,11 @@
 //! `--threads N` shards the per-ISP experiments (table1, fig2, race,
 //! triggers, evasion, anonymity) across N OS threads; every artifact is
 //! byte-identical to `--threads 1` (default: available parallelism).
-//! Wall-time, event count, and events/sec per run land in
-//! `BENCH_repro.json` next to the JSON results (`lucent-bench` ratchets
-//! against these).
+//! Wall-time, event count, events/sec and heap allocations per event
+//! per run land in `BENCH_repro.json` next to the JSON results
+//! (`lucent-bench` ratchets against these). Allocations are counted by
+//! this binary's global allocator, so the library crates stay free of
+//! `unsafe`.
 //!
 //! `--profile PATH` turns on the profiler and writes a two-plane
 //! profile: a `deterministic` section (virtual-time scheduler dwell
@@ -35,8 +37,10 @@
 //! events/sec — explicitly nondeterministic). A Chrome trace-event
 //! phase view lands next to it at `PATH` with extension `.phases.json`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lucent_bench::drive::Driver;
 use lucent_bench::{Caps, Scale};
@@ -459,6 +463,7 @@ fn main() {
     }
     let wall = start.elapsed_secs();
     let events = lab.india.net.events_processed() + drv.shard_events();
+    let allocs = ALLOCS.load(Ordering::Relaxed);
     let rate = if wall > 0.0 { events as f64 / wall } else { 0.0 };
     if let Some(path) = &args.profile {
         write_profile(path, &args, &obs, &lab, &drv, phases, wall, events);
@@ -467,7 +472,7 @@ fn main() {
         "done in {wall:.1}s wall, {events} simulator events ({rate:.0} events/s), virtual time {}",
         lab.now()
     );
-    record_bench(&args, wall, events);
+    record_bench(&args, wall, events, allocs);
 }
 
 /// Close the phase that started at `from` µs (process wall clock) under
@@ -527,12 +532,13 @@ fn write_profile(
 
 /// Upsert this run's measurement into `BENCH_repro.json` under the
 /// versioned [`lucent_bench::benchfile`] schema (`wall_secs`, `events`,
-/// `events_per_sec`), keyed by experiment, scale and thread count so
-/// speedup across `--threads` values can be read off one file. The file
+/// `events_per_sec`, `allocs_per_event`), keyed by experiment, scale
+/// and thread count so speedup across `--threads` values can be read
+/// off one file. The file
 /// sits next to the JSON results (or in the current directory) and is a
 /// measurement artifact — it is deliberately NOT part of the
 /// determinism-diffed outputs; `lucent-bench check` ratchets against it.
-fn record_bench(args: &Args, wall: f64, events: u64) {
+fn record_bench(args: &Args, wall: f64, events: u64, allocs: u64) {
     use lucent_bench::benchfile;
     let dir = args.json_dir.clone().unwrap_or_else(|| PathBuf::from("."));
     let _ = fs::create_dir_all(&dir);
@@ -562,7 +568,13 @@ fn record_bench(args: &Args, wall: f64, events: u64) {
             events
         );
     }
-    let entry = benchfile::Entry { wall_secs: wall, events: Some(events), events_per_sec };
+    let allocs_per_event = (events > 0).then(|| allocs as f64 / events as f64);
+    let entry = benchfile::Entry {
+        wall_secs: wall,
+        events: Some(events),
+        events_per_sec,
+        allocs_per_event,
+    };
     benchfile::upsert(&mut entries, &key, entry);
     if let Err(e) = fs::write(&path, benchfile::render(&entries)) {
         eprintln!("warn: cannot write {}: {e}", path.display());
@@ -577,3 +589,41 @@ fn write_or_die(path: &std::path::Path, contents: &str) {
         std::process::exit(1);
     }
 }
+
+/// Heap allocations made by the whole process so far: every `alloc`,
+/// `alloc_zeroed` and `realloc` call, on any thread.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting each allocation into [`ALLOCS`].
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// relaxed atomic increment, which neither allocates nor panics.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller's `layout` contract passes through to `System`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    // SAFETY: as `alloc`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: `ptr` came from this allocator, hence from `System`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    // SAFETY: `ptr` came from this allocator, hence from `System`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;

@@ -9,12 +9,19 @@
 //! - `events_per_sec` may only ratchet **up** (the stored floor is the
 //!   max of old and new),
 //! - `wall_secs` may only ratchet **down** (min of old and new),
+//! - `allocs_per_event` may only ratchet **down** (min of old and new),
 //!
 //! mirroring the lucent-lint ceilings in `lint-allow.toml`. The band
 //! exists because wall clocks are noisy across machines; it bounds how
 //! far below the floor a run may land before CI calls it a regression.
 //! A band ≥ 1.0 would make the throughput check vacuous
 //! (`floor × (1 − band) ≤ 0`), so [`check`] rejects it up front.
+//!
+//! Allocation counts are not noisy: `repro` counts every heap
+//! allocation, and at a fixed thread count the count repeats exactly.
+//! So `allocs_per_event` is gated against its own fixed
+//! [`ALLOC_SLACK`], not the band: a run that allocates more per event
+//! than its baseline allows fails with `allocation regression`.
 //!
 //! [`check`] also gates **scale invariance** within the measurement:
 //! an experiment recorded at both `small` and `paper` scale (same
@@ -30,6 +37,14 @@ use crate::benchfile::Entry;
 /// thread count. A constant, not a flag, so loosening it is a reviewed
 /// code change rather than a command-line edit.
 pub const SCALE_INVARIANCE_K: f64 = 0.5;
+
+/// The allocation slack: a measured `allocs_per_event` may exceed its
+/// baseline by at most this fraction. It absorbs incidental drift such
+/// as the length of an output path, yet one planted allocation per
+/// packet in the policy middlebox alone (+3.4% at `all@small`) fails,
+/// as does one per packet delivery (+37%). A constant, not a flag, and
+/// independent of the wall-clock band.
+pub const ALLOC_SLACK: f64 = 0.02;
 
 /// The verdict of one [`check`] run.
 #[derive(Debug, Default)]
@@ -58,7 +73,9 @@ fn find<'a>(entries: &'a [(String, Entry)], key: &str) -> Option<&'a Entry> {
 /// failure. Throughput above `floor × (1 + band)` earns a note
 /// suggesting a baseline update. Measured keys absent from the
 /// baseline are noted, never failed — the ratchet only guards what it
-/// has already locked in. Finally the measurement must pass the
+/// has already locked in. A baseline key that carries `allocs_per_event`
+/// also needs one in the measurement, at most `baseline × (1 +`
+/// [`ALLOC_SLACK`]`)`. Finally the measurement must pass the
 /// scale-invariance gate (see [`SCALE_INVARIANCE_K`]).
 pub fn check(measured: &[(String, Entry)], baseline: &[(String, Entry)], band: f64) -> Outcome {
     let mut out = Outcome::default();
@@ -102,6 +119,9 @@ pub fn check(measured: &[(String, Entry)], baseline: &[(String, Entry)], band: f
                 m.wall_secs, base.wall_secs
             ));
         }
+        if let Some(base_ape) = base.allocs_per_event {
+            allocations(key, base_ape, m.allocs_per_event, &mut out);
+        }
     }
     for (key, m) in measured {
         if find(baseline, key).is_none() && m.events_per_sec.is_some() {
@@ -110,6 +130,28 @@ pub fn check(measured: &[(String, Entry)], baseline: &[(String, Entry)], band: f
     }
     scale_invariance(measured, &mut out);
     out
+}
+
+/// Gate one key's measured allocations per event against its baseline
+/// `base_ape`: a missing count or one above the [`ALLOC_SLACK`] ceiling
+/// fails; one below the baseline by more than the slack earns a note.
+fn allocations(key: &str, base_ape: f64, measured: Option<f64>, out: &mut Outcome) {
+    let Some(ape) = measured else {
+        out.failures.push(format!("measurement {key:?} lacks allocs_per_event"));
+        return;
+    };
+    let ceiling = base_ape * (1.0 + ALLOC_SLACK);
+    if ape > ceiling {
+        out.failures.push(format!(
+            "{key}: allocation regression: {ape:.4} allocs/event > {ceiling:.4} \
+             (baseline {base_ape:.4}, slack {ALLOC_SLACK})"
+        ));
+    } else if ape < base_ape * (1.0 - ALLOC_SLACK) {
+        out.notes.push(format!(
+            "{key}: {ape:.4} allocs/event beats the baseline {base_ape:.4} by more than the \
+             slack; run update-baseline to lock it in"
+        ));
+    }
 }
 
 /// Fail every experiment whose `paper` throughput is below
@@ -145,8 +187,9 @@ fn scale_invariance(measured: &[(String, Entry)], out: &mut Outcome) {
 
 /// Tighten `baseline` from `measured`, refusing on any [`check`]
 /// failure (a regression must never be laundered into a new floor).
-/// Keys in both ratchet shrink-only; measured keys with throughput are
-/// added; baseline-only keys are kept untouched.
+/// Keys in both ratchet shrink-only, and a baseline key without
+/// `allocs_per_event` adopts the measured one; measured keys with
+/// throughput are added; baseline-only keys are kept untouched.
 pub fn update(
     measured: &[(String, Entry)],
     baseline: &[(String, Entry)],
@@ -164,6 +207,10 @@ pub fn update(
                 entry.events_per_sec = Some(old.max(new));
             }
             entry.wall_secs = entry.wall_secs.min(m.wall_secs);
+            entry.allocs_per_event = match (entry.allocs_per_event, m.allocs_per_event) {
+                (Some(old), Some(new)) => Some(old.min(new)),
+                (old, new) => old.or(new),
+            };
             if m.events.is_some() {
                 entry.events = m.events;
             }
@@ -183,7 +230,16 @@ mod tests {
     use super::*;
 
     fn entry(wall: f64, eps: f64) -> Entry {
-        Entry { wall_secs: wall, events: Some((wall * eps) as u64), events_per_sec: Some(eps) }
+        Entry {
+            wall_secs: wall,
+            events: Some((wall * eps) as u64),
+            events_per_sec: Some(eps),
+            allocs_per_event: None,
+        }
+    }
+
+    fn allocating(ape: f64) -> Entry {
+        Entry { allocs_per_event: Some(ape), ..entry(1.0, 1000.0) }
     }
 
     fn one(key: &str, e: Entry) -> Vec<(String, Entry)> {
@@ -195,6 +251,23 @@ mod tests {
         let base = one("k", entry(1.0, 1000.0));
         let out = check(&one("k", entry(1.1, 900.0)), &base, 0.25);
         assert!(out.ok(), "{:?}", out.failures);
+        // Allocations within the slack pass too, whatever the band.
+        let base = one("k", allocating(2.0));
+        let out = check(&one("k", allocating(2.0 * (1.0 + ALLOC_SLACK))), &base, 0.0);
+        assert!(out.ok(), "{:?}", out.failures);
+    }
+
+    #[test]
+    fn allocations_above_the_slack_fail() {
+        let base = one("k", allocating(2.4072));
+        // The planted per-delivery `vec!`: same throughput, +37% allocs.
+        let out = check(&one("k", allocating(3.2974)), &base, 0.75);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(out.failures[0].contains("allocation regression"), "{:?}", out.failures);
+        // A wide band does not widen the slack.
+        let just_over = 2.4072 * (1.0 + ALLOC_SLACK) * 1.001;
+        assert!(!check(&one("k", allocating(just_over)), &base, 0.75).ok());
+        assert!(update(&one("k", allocating(3.2974)), &base, 0.75).is_err());
     }
 
     #[test]
@@ -218,8 +291,11 @@ mod tests {
     fn missing_key_and_missing_eps_fail() {
         let base = one("k", entry(1.0, 1000.0));
         assert!(!check(&[], &base, 0.25).ok());
-        let no_eps = one("k", Entry { wall_secs: 1.0, events: None, events_per_sec: None });
+        let no_eps = one("k", Entry { wall_secs: 1.0, ..Entry::default() });
         assert!(!check(&no_eps, &base, 0.25).ok());
+        // A baseline that gates allocations needs a measured count.
+        let out = check(&one("k", entry(1.0, 1000.0)), &one("k", allocating(2.0)), 0.25);
+        assert!(out.failures[0].contains("lacks allocs_per_event"), "{:?}", out.failures);
     }
 
     #[test]
@@ -241,6 +317,16 @@ mod tests {
         let next2 = update(&one("k", entry(0.9, 1150.0)), &next, 0.25).unwrap();
         assert_eq!(next2[0].1.events_per_sec, Some(1250.0));
         assert_eq!(next2[0].1.wall_secs, 0.8);
+        // A baseline without allocs_per_event adopts the measured one;
+        // from then on it only moves down, never up (even in slack).
+        let unseeded = one("k", entry(1.0, 1000.0));
+        let seeded = update(&one("k", allocating(2.0)), &unseeded, 0.25).unwrap();
+        assert_eq!(seeded[0].1.allocs_per_event, Some(2.0));
+        let lower = update(&one("k", allocating(1.5)), &seeded, 0.25).unwrap();
+        assert_eq!(lower[0].1.allocs_per_event, Some(1.5));
+        let in_slack = one("k", allocating(1.5 * (1.0 + ALLOC_SLACK / 2.0)));
+        let in_slack = update(&in_slack, &lower, 0.25).unwrap();
+        assert_eq!(in_slack[0].1.allocs_per_event, Some(1.5));
     }
 
     #[test]
@@ -284,7 +370,7 @@ mod tests {
         assert!(check(&measured, &[], 0.25).ok());
         let no_eps = vec![
             ("t2@small@threads=1".to_string(), entry(1.0, 1000.0)),
-            ("t2@paper@threads=1".to_string(), Entry { wall_secs: 1.0, events: None, events_per_sec: None }),
+            ("t2@paper@threads=1".to_string(), Entry { wall_secs: 1.0, ..Entry::default() }),
         ];
         assert!(check(&no_eps, &[], 0.25).ok());
     }
@@ -298,6 +384,16 @@ mod tests {
         assert!(red.failures[0].contains("scale-invariance regression"), "{:?}", red.failures);
         let green = check(&parse(include_str!("../fixtures/bench-scale-invariant.json")), &base, 0.75);
         assert!(green.ok(), "{:?}", green.failures);
+    }
+
+    #[test]
+    fn committed_alloc_fixture_goes_red_against_the_baseline_fixture() {
+        let parse = |text: &str| crate::benchfile::parse(text).expect("fixture parses");
+        let base = parse(include_str!("../fixtures/bench-baseline.json"));
+        let regressed = parse(include_str!("../fixtures/bench-alloc-regressed.json"));
+        let red = check(&regressed, &base, 0.75);
+        assert_eq!(red.failures.len(), 1, "{:?}", red.failures);
+        assert!(red.failures[0].contains("allocation regression"), "{:?}", red.failures);
     }
 
     #[test]

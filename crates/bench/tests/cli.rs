@@ -1,6 +1,7 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
 //! with usage, `--help` exits 0, and `--json` creates its output
-//! directory (nested paths included) before writing result files.
+//! directory (nested paths included) before writing result files, and
+//! every run records a repeatable heap-allocation count per event.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -111,4 +112,26 @@ fn metrics_out_creates_parent_directories() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(path.is_file(), "metrics snapshot must appear under the new parents");
     let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn allocs_per_event_is_recorded_and_repeats_exactly() {
+    let dir = scratch("allocs");
+    let mut seen = Vec::new();
+    for _ in 0..2 {
+        let out = repro()
+            .args(["race", "--scale", "tiny", "--threads", "1", "--json"])
+            .arg(&dir)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let entries =
+            lucent_bench::benchfile::load(&dir.join("BENCH_repro.json")).expect("bench file");
+        let (_, entry) =
+            entries.iter().find(|(k, _)| k == "race@tiny@threads=1").expect("race entry");
+        seen.push(entry.allocs_per_event.expect("allocs_per_event recorded"));
+    }
+    assert!(seen[0] > 0.0, "{seen:?}");
+    assert_eq!(seen[0], seen[1], "allocation counts must repeat exactly at --threads 1");
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -119,7 +119,7 @@ fn check_keys(sect: &Table, allowed: &[&str], label: &str) -> Result<(), PolicyE
     Ok(())
 }
 
-fn want_str<'a>(e: &'a Entry) -> Result<&'a str, PolicyError> {
+fn want_str(e: &Entry) -> Result<&str, PolicyError> {
     match &e.value {
         Value::Str(s) => Ok(s),
         other => err(e.line, format!("`{}` wants a string, not {}", e.key, kind(other))),
@@ -398,9 +398,10 @@ fn rule_of_sect(sect: &Table, family: Family) -> Result<(Rule, Option<(String, u
     };
 
     let action = if pass {
-        for e in ["notice", "notice_iframe", "notice_server", "notice_text", "ip_id", "delay_us", "slow"]
-            .iter()
-            .filter_map(|k| sect.get(k))
+        if let Some(e) =
+            ["notice", "notice_iframe", "notice_server", "notice_text", "ip_id", "delay_us", "slow"]
+                .iter()
+                .find_map(|k| sect.get(k))
         {
             return err(e.line, format!("`{}` is meaningless on a pass rule", e.key));
         }

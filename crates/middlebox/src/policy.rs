@@ -28,11 +28,11 @@
 //!
 //! # Hot path
 //!
-//! [`PolicyBox::on_packet`] is registered in `[hot_roots]`
-//! (lint-allow.toml): its reachable-allocation ceilings are governed by
-//! L9/L10 and shrink-only. The interpreter loop itself introduces no
-//! new allocation sites — all per-packet work reuses the flow table,
-//! the matcher, and stack values.
+//! [`PolicyBox::on_packet`] runs once per packet the box sees. The
+//! interpreter loop reuses the flow table, the matcher, and stack
+//! values instead of allocating per packet. Its heap traffic is
+//! measured, not inferred: `repro` counts allocations per simulator
+//! event and `lucent-bench check` ratchets that figure (DESIGN.md §13).
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -189,13 +189,7 @@ impl Instance {
         client_filter: Option<Vec<Cidr>>,
         seed: u64,
     ) -> Instance {
-        // Loop rather than collect: `of` shares its name with
-        // `checksum::of` on the packet hot path, so a needle here would
-        // land in every hot root's L9 closure.
-        let mut blocklist = BTreeSet::default();
-        for d in domains {
-            blocklist.insert(d.to_ascii_lowercase());
-        }
+        let blocklist = domains.into_iter().map(|d| d.to_ascii_lowercase()).collect();
         Instance { blocklist, client_filter, seed }
     }
 }
@@ -218,8 +212,7 @@ impl Policy {
         injection_delay_us: (u64, u64),
         slow_injection: Option<(f64, (u64, u64))>,
     ) -> Policy {
-        let mut rules = Vec::default();
-        rules.push(Rule {
+        let rules = vec![Rule {
             name: None,
             matcher,
             hosts: HostSet::Blocklist,
@@ -236,7 +229,7 @@ impl Policy {
                 },
                 delay: DelaySpec { base: Some(injection_delay_us), slow: slow_injection },
             }),
-        });
+        }];
         Policy {
             name: name.into(),
             family: Family::Wiretap,
@@ -255,8 +248,7 @@ impl Policy {
         fixed_ip_id: Option<u16>,
     ) -> Policy {
         let covert = notice.is_none();
-        let mut rules = Vec::default();
-        rules.push(Rule {
+        let rules = vec![Rule {
             name: None,
             matcher,
             hosts: HostSet::Blocklist,
@@ -273,7 +265,7 @@ impl Policy {
                 },
                 delay: DelaySpec { base: None, slow: None },
             }),
-        });
+        }];
         Policy {
             name: name.into(),
             family: Family::Interceptive,

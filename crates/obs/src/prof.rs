@@ -144,10 +144,6 @@ impl PoolWall {
         }
     }
 
-    // Named `render_json` (not `to_json`) on purpose: the wall plane is
-    // cold exporter code, and the lint's name-based call graph would
-    // otherwise pull these allocation sites into the hot-root closure
-    // through the `to_json` calls the metrics path already makes.
     fn render_json(&self) -> Json {
         Json::Obj(vec![
             (
@@ -187,8 +183,7 @@ impl WallPlane {
         }
     }
 
-    /// The wall plane as JSON (sorted keys). See [`PoolWall::render_json`]
-    /// for why this is not named `to_json`.
+    /// The wall plane as JSON (sorted keys).
     pub fn render_json(&self) -> Json {
         let phases = Json::Arr(
             self.phases
