@@ -50,8 +50,10 @@ use lucent_core::experiments::{
 };
 use lucent_core::lab::Lab;
 use lucent_core::metrics::PrecisionRecall;
+use lucent_core::probe::classify::{censored_sites, render_rate};
 use lucent_core::probe::manual::inspect;
 use lucent_core::probe::ooni::web_connectivity_with;
+use lucent_middlebox::policy::Action;
 use lucent_topology::{India, IspId};
 
 const USAGE: &str = "repro [EXPERIMENT] [--scale tiny|small|paper] [--json DIR] \
@@ -287,33 +289,50 @@ fn run_threshold_audit(lab: &mut Lab, caps: Caps, json: &Option<PathBuf>) {
     emit_json(json, "threshold_audit", &results);
 }
 
-/// Ablation: sweep the wiretap slow-injection probability and measure the
-/// render rate (DESIGN.md §5 — the paper's ≈3/10 emerges from this knob).
-fn run_ablate_race(scale: Scale, json: &Option<PathBuf>) {
+/// Ablation: sweep the wiretap slow-path probability of Airtel's program
+/// and measure the render rate (DESIGN.md §5 — the paper's ≈3/10
+/// emerges from this knob). The sites are picked once, in a world with
+/// no slow tail, where every probe of a censored site shows the block;
+/// each row then fetches those same sites in a fresh world running its
+/// probability. Returns the simulator events all those worlds processed.
+fn run_ablate_race(scale: Scale, json: &Option<PathBuf>) -> u64 {
     println!("Ablation: wiretap slow-path probability → render rate (Airtel model)");
-    let mut rows = Vec::new();
-    for slow_prob in [0.0, 0.15, 0.3, 0.5, 0.8] {
+    let airtel_world = |slow_prob: Option<f64>| {
         let mut cfg = scale.config();
         if let Some(p) = cfg.http.get_mut(&IspId::Airtel) {
-            p.slow_injection = Some((slow_prob, (150_000, 400_000)));
+            for rule in &mut p.policy.rules {
+                if let Action::Fire(fire) = &mut rule.action {
+                    fire.delay.slow = slow_prob.map(|p| (p, (150_000, 400_000)));
+                }
+            }
         }
-        let mut lab = Lab::new(India::build(cfg));
-        let r = race::run(
-            &mut lab,
-            &race::RaceOptions { isps: vec![IspId::Airtel], attempts: 10, sites_per_isp: 4 },
-        );
-        let row = &r.rows[0];
+        Lab::new(India::build(cfg))
+    };
+    let mut pick = airtel_world(None);
+    let sites = censored_sites(&mut pick, IspId::Airtel, 4);
+    let mut events = pick.india.net.events_processed();
+    let mut rows = Vec::new();
+    for slow_prob in [0.0, 0.15, 0.3, 0.5, 0.8] {
+        let mut lab = airtel_world(Some(slow_prob));
+        let (mut rendered, mut attempts) = (0, 0);
+        for &site in &sites {
+            let (r, a) = render_rate(&mut lab, IspId::Airtel, site, 10);
+            rendered += r;
+            attempts += a;
+        }
         println!(
             "  slow_prob {:.2}: rendered {}/{} ({:.0}%)",
             slow_prob,
-            row.rendered,
-            row.attempts,
-            row.rate() * 100.0
+            rendered,
+            attempts,
+            rendered as f64 / attempts.max(1) as f64 * 100.0
         );
-        rows.push((slow_prob, row.rendered, row.attempts));
+        rows.push((slow_prob, rendered, attempts));
+        events += lab.india.net.events_processed();
     }
     println!();
     emit_json(json, "ablate_race", &rows);
+    events
 }
 
 /// Ablation: sweep OONI's body-proportion threshold and report the
@@ -386,6 +405,8 @@ fn main() {
     let json = &args.json_dir;
     let drv = Driver::new(args.scale, args.threads, args.trace.clone())
         .with_prof(args.profile.is_some());
+    // Events of worlds an experiment builds for itself (the ablation's).
+    let mut own_world_events = 0;
     match args.experiment.as_str() {
         "table1" => run_table1(&drv, &obs, caps, json),
         "table2" => {
@@ -408,7 +429,7 @@ fn main() {
         "anonymity" => run_anonymity(&drv, &obs, json),
         "world" => println!("{}", lab.india.summary()),
         "threshold-audit" => run_threshold_audit(&mut lab, caps, json),
-        "ablate-race" => run_ablate_race(args.scale, json),
+        "ablate-race" => own_world_events = run_ablate_race(args.scale, json),
         "ablate-ooni" => run_ablate_ooni(&mut lab, caps, json),
         "all" => {
             run_fig1(&mut lab, json);
@@ -462,7 +483,7 @@ fn main() {
         );
     }
     let wall = start.elapsed_secs();
-    let events = lab.india.net.events_processed() + drv.shard_events();
+    let events = lab.india.net.events_processed() + drv.shard_events() + own_world_events;
     let allocs = ALLOCS.load(Ordering::Relaxed);
     let rate = if wall > 0.0 { events as f64 / wall } else { 0.0 };
     if let Some(path) = &args.profile {

@@ -1,7 +1,8 @@
 //! CLI contract tests for the `repro` binary: flag validation exits 2
 //! with usage, `--help` exits 0, and `--json` creates its output
-//! directory (nested paths included) before writing result files, and
-//! every run records a repeatable heap-allocation count per event.
+//! directory (nested paths included) before writing result files,
+//! every run records a repeatable heap-allocation count per event, and
+//! the `ablate-race` sweep responds to the knob it sweeps.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -133,5 +134,35 @@ fn allocs_per_event_is_recorded_and_repeats_exactly() {
     }
     assert!(seen[0] > 0.0, "{seen:?}");
     assert_eq!(seen[0], seen[1], "allocation counts must repeat exactly at --threads 1");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn ablate_race_sweep_tracks_the_slow_tail_and_counts_its_worlds() {
+    let dir = scratch("ablate");
+    let out = repro()
+        .args(["ablate-race", "--scale", "tiny", "--threads", "1", "--json"])
+        .arg(&dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(dir.join("ablate_race.json")).expect("ablate_race.json");
+    let rows = lucent_support::Json::parse(&text).expect("valid JSON");
+    let rendered_at = |slow_prob: f64| {
+        let rows = rows.as_arr().expect("a list of rows");
+        let row = rows
+            .iter()
+            .filter_map(|r| r.as_arr())
+            .find(|r| r[0].as_f64() == Some(slow_prob))
+            .unwrap_or_else(|| panic!("no row for slow_prob {slow_prob}: {text}"));
+        row[1].as_i64().expect("rendered count")
+    };
+    assert!(rendered_at(0.0) < rendered_at(0.8), "the sweep is flat: {text}");
+    let entries = lucent_bench::benchfile::load(&dir.join("BENCH_repro.json")).expect("bench file");
+    let (_, entry) = entries
+        .iter()
+        .find(|(k, _)| k == "ablate-race@tiny@threads=1")
+        .expect("ablate-race entry");
+    assert!(entry.events.unwrap_or(0) > 0, "the ablation's own worlds must count as simulator events");
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -4,7 +4,7 @@
 //! - **Header-permutation invariance** (paper §5: middleboxes trigger
 //!   solely on the `Host` header) — a request's censorship verdict must
 //!   not change when censorship-irrelevant headers are added, renamed or
-//!   reordered. Checked at the matcher level, the config level, and
+//!   reordered. Checked at the matcher level, the rule level, and
 //!   end-to-end through a client–router–server rig with a live
 //!   policy-interpreted wiretap ([`PolicyBox`]) on a mirror port.
 //! - **Blocklist monotonicity** — growing a blocklist can only grow the
@@ -19,8 +19,8 @@ use lucent_bench::drive::Driver;
 use lucent_bench::Scale;
 use lucent_core::experiments::race::RaceOptions;
 use lucent_middlebox::notice::looks_like_notice;
-use lucent_middlebox::policy::Policy;
-use lucent_middlebox::{HostMatcher, Instance, MiddleboxConfig, NoticeStyle, PolicyBox};
+use lucent_middlebox::policy::{Policy, Rule};
+use lucent_middlebox::{builtin, HostMatcher, Instance, PolicyBox};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, NodeId, RouterNode, SimDuration};
 use lucent_obs::Telemetry;
@@ -67,9 +67,10 @@ pub fn permuted_request(s: &mut Source, host: &str, path: &str) -> Vec<u8> {
     b.build()
 }
 
-/// Matcher- and config-level §5 invariance: every matcher extracts the
-/// same domain from the canonical and the permuted request, and any
-/// config reaches the same verdict on both.
+/// Matcher- and rule-level §5 invariance: every matcher extracts the
+/// same domain from the canonical and the permuted request, and a
+/// compiled wiretap rule over any device instance reaches the same
+/// verdict on both.
 pub fn header_permutation_verdicts(s: &mut Source) {
     let host = packets::host_name(s);
     let path = packets::url_path(s);
@@ -83,21 +84,22 @@ pub fn header_permutation_verdicts(s: &mut Source) {
     }
     let blocked = s.any_bool();
     let target = if blocked { host.clone() } else { format!("not-{host}") };
-    let mut cfg = MiddleboxConfig::new([target]);
-    cfg.matcher = *s.pick(&MATCHERS);
-    let verdict =
-        |req: &[u8]| cfg.matcher.extract(req).is_some_and(|d| cfg.blocks(&d));
+    let mut rule = wiretap_rule();
+    rule.matcher = *s.pick(&MATCHERS);
+    let inst = Instance::of([target], None, 0);
+    let verdict = |req: &[u8]| blocks(&rule, &inst, req);
     assert_eq!(
         verdict(&canonical),
         verdict(&permuted),
         "verdict changed under header permutation ({:?})",
-        cfg.matcher
+        rule.matcher
     );
     assert_eq!(verdict(&canonical), blocked);
 }
 
-/// Config-level blocklist monotonicity: `blocks(B, d)` implies
-/// `blocks(B ∪ {x}, d)` for every extra domain `x`.
+/// Instance-level blocklist monotonicity: a compiled wiretap rule that
+/// blocks `d` under blocklist `B` also blocks it under `B ∪ {x}`, for
+/// every extra domain `x`.
 pub fn blocklist_monotonicity(s: &mut Source) {
     let n = s.len_in(1, 4);
     let base: Vec<String> = (0..n).map(|_| packets::dns_name(s)).collect();
@@ -107,12 +109,34 @@ pub fn blocklist_monotonicity(s: &mut Source) {
     } else {
         packets::dns_name(s)
     };
-    let small = MiddleboxConfig::new(base.clone());
-    let big = MiddleboxConfig::new(base.into_iter().chain([extra.clone()]));
-    if small.blocks(&probe) {
-        assert!(big.blocks(&probe), "adding {extra:?} to the blocklist unblocked {probe:?}");
+    let rule = wiretap_rule();
+    let small = Instance::of(base.clone(), None, 0);
+    let big = Instance::of(base.into_iter().chain([extra.clone()]), None, 0);
+    let request = |host: &str| RequestBuilder::browser(host, "/").build();
+    if blocks(&rule, &small, &request(&probe)) {
+        assert!(
+            blocks(&rule, &big, &request(&probe)),
+            "adding {extra:?} to the blocklist unblocked {probe:?}"
+        );
     }
-    assert!(big.blocks(&extra), "a listed domain must be blocked");
+    assert!(blocks(&rule, &big, &request(&extra)), "a listed domain must be blocked");
+}
+
+/// The committed TATA wiretap program: exact-token matching and no
+/// slow tail, so its injection always wins a race against a distant
+/// server.
+fn wiretap_program() -> Policy {
+    must(builtin("tata-wm").ok(), "tata-wm program")
+}
+
+/// The firing rule of the committed wiretap program.
+fn wiretap_rule() -> Rule {
+    must(wiretap_program().rules.into_iter().next(), "tata-wm rule")
+}
+
+/// Would `rule`, on a device instantiated as `inst`, fire on `request`?
+fn blocks(rule: &Rule, inst: &Instance, request: &[u8]) -> bool {
+    rule.matcher.extract(request).is_some_and(|d| rule.hosts.contains(&inst.blocklist, &d))
 }
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -126,10 +150,10 @@ struct Rig {
 
 /// client — router (mirror → WM) — server, with the server 30 ms away so
 /// the wiretap's injection deterministically wins the race. The device
-/// is a [`PolicyBox`] running the single-rule wiretap program derived
-/// from `cfg` — the same construction path the topology uses for
-/// censors without a committed policy file.
-fn build_rig(cfg: MiddleboxConfig) -> Rig {
+/// is a [`PolicyBox`] running the committed TATA wiretap program over
+/// the instance `inst` — the same program-plus-instance construction the
+/// topology uses for every censor.
+fn build_rig(inst: Instance) -> Rig {
     let mut net = Network::new();
     let client = net.add_node(Box::new(TcpHost::new(CLIENT, "client", 1)));
     let mut server_host = TcpHost::new(SERVER, "server", 2);
@@ -149,29 +173,15 @@ fn build_rig(cfg: MiddleboxConfig) -> Rig {
     r.table.add(Cidr::new(SERVER, 24), IfaceId(1));
     r.mirrors.push(IfaceId(2));
     let r = net.add_node(Box::new(r));
-    let mut policy = Policy::wiretap_like(
-        "wm",
-        cfg.matcher,
-        cfg.notice.clone(),
-        cfg.fixed_ip_id,
-        cfg.injection_delay_us,
-        cfg.slow_injection,
-    );
-    policy.ports = cfg.ports.clone();
-    policy.flow_timeout = cfg.flow_timeout;
-    let inst = Instance { blocklist: cfg.blocklist, client_filter: cfg.client_filter, seed: cfg.seed };
-    let wm = net.add_node(Box::new(PolicyBox::new(policy, inst, "wm")));
+    let wm = net.add_node(Box::new(PolicyBox::new(wiretap_program(), inst, "wm")));
     net.connect(client, IfaceId::PRIMARY, r, IfaceId(0), SimDuration::from_millis(1));
     net.connect(r, IfaceId(1), server, IfaceId::PRIMARY, SimDuration::from_millis(31));
     net.connect(r, IfaceId(2), wm, IfaceId::PRIMARY, SimDuration::from_micros(80));
     Rig { net, client, wm }
 }
 
-fn wm_config(target: &str) -> MiddleboxConfig {
-    let mut cfg = MiddleboxConfig::new([target.to_string()]);
-    cfg.fixed_ip_id = Some(242);
-    cfg.notice = Some(NoticeStyle::airtel_like());
-    cfg
+fn wm_instance(target: &str) -> Instance {
+    Instance::of([target.to_string()], None, 0)
 }
 
 /// Open a connection, send `request` verbatim, and return what the
@@ -204,21 +214,21 @@ pub fn wiretap_verdicts_are_header_invariant(s: &mut Source) {
     let permuted = permuted_request(s, &host, &path);
     let extra = packets::dns_name(s);
 
-    let observe = |cfg: MiddleboxConfig, req: &[u8]| {
-        let mut rig = build_rig(cfg);
+    let observe = |inst: Instance, req: &[u8]| {
+        let mut rig = build_rig(inst);
         let got = fetch_raw(&mut rig, req);
         let notice = HttpResponse::parse(&got).ok().map(|r| looks_like_notice(&r));
         (injections(&rig), notice)
     };
 
-    let (inj_canon, notice_canon) = observe(wm_config(&target), &canonical);
-    let (inj_perm, notice_perm) = observe(wm_config(&target), &permuted);
+    let (inj_canon, notice_canon) = observe(wm_instance(&target), &canonical);
+    let (inj_perm, notice_perm) = observe(wm_instance(&target), &permuted);
     assert_eq!(inj_canon, inj_perm, "injection count changed under header permutation");
     assert_eq!(notice_canon, notice_perm, "client outcome changed under header permutation");
     assert_eq!(inj_canon > 0, blocked, "the wiretap fired iff the host was listed");
     assert_eq!(notice_canon, Some(blocked), "the client saw the notice iff blocked");
 
-    let mut bigger = wm_config(&target);
+    let mut bigger = wm_instance(&target);
     bigger.blocklist.insert(format!("extra-{extra}"));
     let (inj_big, notice_big) = observe(bigger, &canonical);
     assert_eq!(inj_big, inj_canon, "growing the blocklist changed the injection count");

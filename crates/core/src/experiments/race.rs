@@ -5,12 +5,10 @@
 use std::fmt;
 
 
-use lucent_middlebox::notice::looks_like_notice;
 use lucent_topology::IspId;
-use lucent_web::SiteId;
 
 use crate::lab::Lab;
-use crate::probe::classify::render_rate;
+use crate::probe::classify::{censored_sites, render_rate};
 use crate::report;
 
 /// Options for the race measurement.
@@ -67,47 +65,6 @@ impl RaceRow {
 pub struct Race {
     /// Per-ISP rows.
     pub rows: Vec<RaceRow>,
-}
-
-/// Find sites actually censored on the client's direct path (render-rate
-/// only means something on censored paths).
-fn censored_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
-    let master: Vec<SiteId> = lab
-        .india
-        .truth
-        .http_master
-        .get(&isp)
-        .map(|m| m.iter().copied().collect())
-        .unwrap_or_default();
-    let client = lab.client_of(isp);
-    let mut out = Vec::new();
-    for site in master {
-        let s = lab.india.corpus.site(site);
-        if !s.is_alive() || s.kind != lucent_web::SiteKind::Normal {
-            continue;
-        }
-        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
-        // Two probes: censored if either shows the block (the wiretap
-        // race can hide a single observation).
-        let mut censored = false;
-        for _ in 0..2 {
-            let f = lab.http_get(client, ip, &domain, 3_000);
-            if f.was_reset()
-                || f.hit_timeout()
-                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
-            {
-                censored = true;
-                break;
-            }
-        }
-        if censored {
-            out.push(site);
-            if out.len() >= want {
-                break;
-            }
-        }
-    }
-    out
 }
 
 /// Measure one ISP. Counter deltas are read from the lab's own

@@ -115,6 +115,47 @@ pub fn classify_by_remote_hosts(
     None
 }
 
+/// Find sites actually censored on the client's direct path (render-rate
+/// only means something on censored paths).
+pub fn censored_sites(lab: &mut Lab, isp: IspId, want: usize) -> Vec<SiteId> {
+    let master: Vec<SiteId> = lab
+        .india
+        .truth
+        .http_master
+        .get(&isp)
+        .map(|m| m.iter().copied().collect())
+        .unwrap_or_default();
+    let client = lab.client_of(isp);
+    let mut out = Vec::new();
+    for site in master {
+        let s = lab.india.corpus.site(site);
+        if !s.is_alive() || s.kind != lucent_web::SiteKind::Normal {
+            continue;
+        }
+        let (domain, ip) = (s.domain.clone(), s.replicas[0]);
+        // Two probes: censored if either shows the block (the wiretap
+        // race can hide a single observation).
+        let mut censored = false;
+        for _ in 0..2 {
+            let f = lab.http_get(client, ip, &domain, 3_000);
+            if f.was_reset()
+                || f.hit_timeout()
+                || f.response.as_ref().map(looks_like_notice).unwrap_or(false)
+            {
+                censored = true;
+                break;
+            }
+        }
+        if censored {
+            out.push(site);
+            if out.len() >= want {
+                break;
+            }
+        }
+    }
+    out
+}
+
 /// The render-rate race (§4.2.1): fraction of attempts on which the real
 /// site renders despite censorship. Wiretaps lose ~3/10 races;
 /// interceptive devices never do.

@@ -593,9 +593,9 @@ pub fn compile_with_lines(text: &str) -> Result<(Policy, Vec<usize>), PolicyErro
     Ok((Policy { name, family, ports, flow_timeout, rules }, rule_lines))
 }
 
-/// Names of the four committed ISP policy files.
-pub fn builtin_names() -> [&'static str; 4] {
-    ["airtel-wm", "jio-wm", "idea-im", "vodafone-im"]
+/// Names of the five committed censor policy files.
+pub fn builtin_names() -> [&'static str; 5] {
+    ["airtel-wm", "jio-wm", "idea-im", "vodafone-im", "tata-wm"]
 }
 
 /// Compile one of the committed ISP policy files by name.
@@ -605,6 +605,7 @@ pub fn builtin(name: &str) -> Result<Policy, PolicyError> {
         "jio-wm" => include_str!("../policies/jio-wm.toml"),
         "idea-im" => include_str!("../policies/idea-im.toml"),
         "vodafone-im" => include_str!("../policies/vodafone-im.toml"),
+        "tata-wm" => include_str!("../policies/tata-wm.toml"),
         other => return err(0, format!("unknown builtin policy `{other}`")),
     };
     compile(text)
@@ -697,7 +698,33 @@ mod tests {
 
     #[test]
     fn unknown_builtin_is_an_error() {
-        assert_eq!(builtin("tata-wm").unwrap_err().to_string(), "unknown builtin policy `tata-wm`");
+        assert_eq!(builtin("bsnl-wm").unwrap_err().to_string(), "unknown builtin policy `bsnl-wm`");
+    }
+
+    #[test]
+    fn the_policies_directory_is_exactly_the_builtin_set() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/policies");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "toml"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let mut names = builtin_names().map(String::from).to_vec();
+        names.sort();
+        assert_eq!(files, names, "every committed program is a builtin, and vice versa");
+    }
+
+    #[test]
+    fn tata_builtin_is_a_hashed_wiretap_without_a_slow_tail() {
+        let p = builtin("tata-wm").unwrap();
+        assert_eq!(p.family, Family::Wiretap);
+        let Action::Fire(act) = &p.rules[0].action else { panic!("tata rule passes") };
+        assert_eq!(act.ip_id, IpIdSpec::SeqHash);
+        assert_eq!(act.delay, DelaySpec { base: Some((300, 900)), slow: None });
+        let notice = act.notice.as_ref().unwrap();
+        assert_eq!(notice.iframe_url, "http://www.tatacommunications.com/dot-blocked");
     }
 
     #[test]

@@ -24,24 +24,26 @@
 //! Both families are instances of one **censor program** shape —
 //! match → state → action — which [`policy`] makes explicit: a generic
 //! [`policy::PolicyBox`] interprets programs compiled by [`compile`]
-//! from TOML files under `policies/`. The hardcoded structs that used
-//! to implement the two families directly are retired; their recorded
-//! behaviour lives on as transcript goldens under `tests/golden/`
-//! (see `lucent-check::diffmb`), and the committed policy programs are
-//! statically verified by the lucent-lint L11/L12 analyzer.
+//! from TOML files under `policies/`. A compiled [`Policy`] is the only
+//! description of a censor's mechanism: every device in the topology
+//! runs one of the five committed programs ([`compile::builtin`]),
+//! paired with a per-device [`Instance`] (blocklist, client filter,
+//! seed). The hardcoded structs that used to implement the two
+//! families directly are retired; their recorded behaviour lives on as
+//! transcript goldens under `tests/golden/` (see `lucent-check::diffmb`),
+//! and the committed policy programs are statically verified by the
+//! lucent-lint L11/L12 analyzer.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod compile;
-pub mod config;
 pub mod flow;
 pub mod matcher;
 pub mod notice;
 pub mod policy;
 
 pub use compile::{builtin, PolicyError};
-pub use config::MiddleboxConfig;
 pub use matcher::HostMatcher;
 pub use notice::NoticeStyle;
 pub use policy::{Instance, Policy, PolicyBox};

@@ -12,7 +12,7 @@
 //! behind the same [`Node`] surface the netsim engine already drives.
 //!
 //! Policies are compiled from TOML files by [`crate::compile`]; the
-//! four committed ISP programs live under `crates/middlebox/policies/`.
+//! five committed censor programs live under `crates/middlebox/policies/`.
 //! The hardcoded `WiretapMiddlebox` / `InterceptiveMiddlebox` structs
 //! this engine replaced are gone; their behaviour survives as recorded
 //! transcripts (`tests/golden/mb-*.transcript`) that the
@@ -76,6 +76,18 @@ pub enum HostSet {
     Listed(BTreeSet<String>),
     /// Every extracted host matches.
     Any,
+}
+
+impl HostSet {
+    /// Does an extracted `domain` fall in this set on a device whose
+    /// blocklist is `blocklist`?
+    pub fn contains(&self, blocklist: &BTreeSet<String>, domain: &str) -> bool {
+        match self {
+            HostSet::Blocklist => blocklist.contains(domain),
+            HostSet::Listed(set) => set.contains(domain),
+            HostSet::Any => true,
+        }
+    }
 }
 
 /// How the IP-Identifier of forged packets is chosen.
@@ -182,8 +194,8 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Build an instance; domains are lowercased like
-    /// [`crate::MiddleboxConfig::new`] does.
+    /// Build an instance; domains are lowercased to match what the
+    /// Host matchers extract.
     pub fn of(
         domains: impl IntoIterator<Item = String>,
         client_filter: Option<Vec<Cidr>>,
@@ -194,85 +206,15 @@ impl Instance {
     }
 }
 
-fn port_80_only() -> Option<BTreeSet<u16>> {
-    let mut ports = BTreeSet::new();
-    ports.insert(80);
-    Some(ports)
-}
-
 impl Policy {
-    /// A single-rule wiretap program from profile primitives — the
-    /// construction path for censors without a committed policy file
-    /// (and the fallback should a builtin ever fail to compile).
-    pub fn wiretap_like(
-        name: impl Into<String>,
-        matcher: HostMatcher,
-        notice: Option<NoticeStyle>,
-        fixed_ip_id: Option<u16>,
-        injection_delay_us: (u64, u64),
-        slow_injection: Option<(f64, (u64, u64))>,
-    ) -> Policy {
-        let rules = vec![Rule {
-            name: None,
-            matcher,
-            hosts: HostSet::Blocklist,
-            after: None,
-            probability: None,
-            action: Action::Fire(FireSpec {
-                notice,
-                rst: true,
-                reset_server: false,
-                drop_flow: false,
-                ip_id: match fixed_ip_id {
-                    Some(v) => IpIdSpec::Fixed(v),
-                    None => IpIdSpec::SeqHash,
-                },
-                delay: DelaySpec { base: Some(injection_delay_us), slow: slow_injection },
-            }),
-        }];
-        Policy {
-            name: name.into(),
-            family: Family::Wiretap,
-            ports: port_80_only(),
-            flow_timeout: SimDuration::from_secs(150),
-            rules,
-        }
-    }
-
-    /// A single-rule interceptive program from profile primitives.
-    /// `notice == None` programs the covert bare-RST answer.
-    pub fn interceptive_like(
-        name: impl Into<String>,
-        matcher: HostMatcher,
-        notice: Option<NoticeStyle>,
-        fixed_ip_id: Option<u16>,
-    ) -> Policy {
-        let covert = notice.is_none();
-        let rules = vec![Rule {
-            name: None,
-            matcher,
-            hosts: HostSet::Blocklist,
-            after: None,
-            probability: None,
-            action: Action::Fire(FireSpec {
-                notice,
-                rst: covert,
-                reset_server: true,
-                drop_flow: true,
-                ip_id: match fixed_ip_id {
-                    Some(v) => IpIdSpec::Fixed(v),
-                    None => IpIdSpec::DeviceMark,
-                },
-                delay: DelaySpec { base: None, slow: None },
-            }),
-        }];
-        Policy {
-            name: name.into(),
-            family: Family::Interceptive,
-            ports: port_80_only(),
-            flow_timeout: SimDuration::from_secs(150),
-            rules,
-        }
+    /// The notification page this program forges: the first notice any
+    /// firing rule carries, or `None` for a covert program (bare RSTs
+    /// only).
+    pub fn notice(&self) -> Option<&NoticeStyle> {
+        self.rules.iter().find_map(|r| match &r.action {
+            Action::Fire(fire) => fire.notice.as_ref(),
+            Action::Pass => None,
+        })
     }
 }
 
@@ -293,13 +235,6 @@ enum FireNote {
     Intercept { covert: bool },
 }
 
-fn rule_hits(hosts: &HostSet, blocklist: &BTreeSet<String>, domain: &str) -> bool {
-    match hosts {
-        HostSet::Blocklist => blocklist.contains(domain),
-        HostSet::Listed(set) => set.contains(domain),
-        HostSet::Any => true,
-    }
-}
 
 fn forge_ip_id(spec: &IpIdSpec, seq: u32) -> u16 {
     match spec {
@@ -448,7 +383,7 @@ impl PolicyBox {
         for (i, rule) in policy.rules.iter().enumerate() {
             let Some(domain) = rule.matcher.extract(payload) else { continue };
             saw_domain = true;
-            if !rule_hits(&rule.hosts, &inst.blocklist, &domain) {
+            if !rule.hosts.contains(&inst.blocklist, &domain) {
                 continue;
             }
             if let Some(j) = rule.after {
@@ -715,6 +650,7 @@ impl Node for PolicyBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile;
     use crate::notice::looks_like_notice;
     use lucent_netsim::{Network, NodeId};
     use lucent_packet::http::RequestBuilder;
@@ -786,15 +722,12 @@ mod tests {
         (net, mb, a, b)
     }
 
+    /// A wiretap program (default 300–900 µs delay, no slow tail).
     fn airtel_policy() -> Policy {
-        Policy::wiretap_like(
-            "airtel-test",
-            HostMatcher::ExactToken,
-            Some(NoticeStyle::airtel_like()),
-            Some(242),
-            (300, 900),
-            None,
+        compile(
+            "[policy]\nname = \"airtel-test\"\nfamily = \"wiretap\"\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"exact-token\"\naction = [\"inject-notice\", \"inject-rst\"]\nnotice = \"airtel\"\nip_id = 242\n",
         )
+        .unwrap()
     }
 
     fn inst(domains: &[&str]) -> Instance {
@@ -832,12 +765,10 @@ mod tests {
 
     #[test]
     fn interceptive_policy_answers_resets_and_blackholes() {
-        let policy = Policy::interceptive_like(
-            "vodafone-test",
-            HostMatcher::LastHost,
-            None,
-            None,
-        );
+        let policy = compile(
+            "[policy]\nname = \"vodafone-test\"\nfamily = \"interceptive\"\n[[rule]]\ntrigger = \"host-header\"\nmatcher = \"last-host\"\naction = [\"inject-rst\", \"reset-server\", \"drop\"]\n",
+        )
+        .unwrap();
         let (mut net, mb, a, b) = inline_rig(policy, inst(&["blocked.example"]));
         handshake(&mut net, mb, IfaceId(0));
         net.inject(mb, IfaceId(0), get_for("blocked.example", 1000));
@@ -935,5 +866,46 @@ mod tests {
         let rows = net.node_ref::<PolicyBox>(mb).unwrap().flow_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1, Stage::Established);
+    }
+
+    #[test]
+    fn defaults_inspect_port_80_only() {
+        let pb = PolicyBox::new(airtel_policy(), inst(&["x.example"]), "pb-test");
+        assert!(pb.inspects_port(80));
+        assert!(!pb.inspects_port(8080));
+    }
+
+    #[test]
+    fn ideal_middlebox_inspects_all_ports() {
+        let mut policy = airtel_policy();
+        policy.ports = None;
+        let pb = PolicyBox::new(policy, inst(&["x.example"]), "pb-test");
+        assert!(pb.inspects_port(8080));
+        assert!(pb.inspects_port(443));
+    }
+
+    #[test]
+    fn client_filter_gates_inspection() {
+        let filter = Some(vec!["10.50.0.0/16".parse().unwrap()]);
+        let inst = Instance::of(["x.example".to_string()], filter, 7);
+        let pb = PolicyBox::new(airtel_policy(), inst, "pb-test");
+        assert!(pb.inspects_client(Ipv4Addr::new(10, 50, 3, 3)));
+        assert!(!pb.inspects_client(Ipv4Addr::new(172, 16, 0, 1)));
+    }
+
+    #[test]
+    fn blocklist_is_lowercased() {
+        let inst = Instance::of(["MiXeD.Example".to_string()], None, 7);
+        assert!(HostSet::Blocklist.contains(&inst.blocklist, "mixed.example"));
+        assert!(!HostSet::Blocklist.contains(&inst.blocklist, "other.example"));
+    }
+
+    #[test]
+    fn notice_is_the_first_forged_page() {
+        assert_eq!(airtel_policy().notice(), Some(&NoticeStyle::airtel_like()));
+        let mut covert = airtel_policy();
+        let Action::Fire(fire) = &mut covert.rules[0].action else { panic!("rule passes") };
+        fire.notice = None;
+        assert_eq!(covert.notice(), None);
     }
 }

@@ -6,14 +6,15 @@ use std::net::Ipv4Addr;
 use lucent_netsim::SimRng;
 
 use lucent_dns::{catalog, DnsCatalog, PoisonMode, RegionId, ResolverApp, SharedCatalog};
-use lucent_middlebox::{builtin, Instance, MiddleboxConfig, NoticeStyle, Policy, PolicyBox};
+use lucent_middlebox::policy::Family;
+use lucent_middlebox::{Instance, NoticeStyle, PolicyBox};
 use lucent_netsim::routing::Cidr;
 use lucent_netsim::{IfaceId, Network, Node, NodeId, RouterNode, SimDuration};
 use lucent_tcp::{FixedResponder, TcpHost};
 use lucent_web::{Corpus, IpAllocator, ServerConfig, SiteId, WebServerApp};
 
 use crate::ids::IspId;
-use crate::profile::{HttpProfile, IndiaConfig, MbKind};
+use crate::profile::{HttpProfile, IndiaConfig};
 use crate::truth::GroundTruth;
 
 /// Handles into one built ISP.
@@ -46,8 +47,8 @@ pub struct Isp {
     pub default_resolver: Ipv4Addr,
     /// The ISP's censorship-notice web host (poisoned DNS points here).
     pub notice_ip: Ipv4Addr,
-    /// Deployed middleboxes: (core index, node, kind).
-    pub devices: Vec<(usize, NodeId, MbKind)>,
+    /// Deployed middleboxes: (core index, node, family).
+    pub devices: Vec<(usize, NodeId, Family)>,
 }
 
 /// The whole built world.
@@ -333,35 +334,34 @@ impl India {
                 }
                 let count = cfg.collateral.get(&(isp_id, censor)).copied().unwrap_or(0);
                 let censor_gw = gateway_of[&censor];
-                let censor_profile = cfg.http.get(&censor);
                 let via_even = side_idx == 0;
-                let blocklist = Self::border_blocklist(
-                    &mut rng, &corpus, &hosting_pools, count, via_even, single_homed,
-                );
-                truth.borders.insert((isp_id, censor), blocklist.iter().copied().collect());
-                let mb_cfg = Self::device_config(
-                    &cfg,
-                    censor,
-                    censor_profile,
-                    blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
-                    None,
-                    0x1000 + u64::from(u32::from(isp_id.prefix().addr)) + side_idx as u64,
-                );
-                let victim_iface = match censor_profile.map(|p| p.kind) {
-                    Some(MbKind::InterceptiveOvert) | Some(MbKind::InterceptiveCovert) => {
-                        let im = net.add_node(Self::censor_node(
-                            censor,
-                            censor_profile,
-                            mb_cfg,
-                            format!("border-im-{}-{}", isp_id.name(), censor.name()),
-                        ));
+                let device = cfg.http.get(&censor).map(|profile| {
+                    let blocklist = Self::border_blocklist(
+                        &mut rng, &corpus, &hosting_pools, count, via_even, single_homed,
+                    );
+                    truth.borders.insert((isp_id, censor), blocklist.iter().copied().collect());
+                    let inst = Self::device_instance(
+                        &cfg,
+                        censor,
+                        blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
+                        None,
+                        0x1000 + u64::from(u32::from(isp_id.prefix().addr)) + side_idx as u64,
+                    );
+                    let family = profile.policy.family;
+                    let tag = if family == Family::Interceptive { "im" } else { "wm" };
+                    let label = format!("border-{tag}-{}-{}", isp_id.name(), censor.name());
+                    (family, Self::censor_node(profile, inst, label))
+                });
+                let victim_iface = match device {
+                    Some((Family::Interceptive, im)) => {
+                        let im = net.add_node(im);
                         let (v_if, _) = wire.link(&mut net, gw, im, MS(4));
                         let (_, c_if) = wire.link(&mut net, im, censor_gw, MS(1));
                         edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
                         v_if
                     }
-                    _ => {
-                        // WM (or no profile): censor-owned border router with tap.
+                    Some((Family::Wiretap, wm)) => {
+                        // Censor-owned border router with a tap.
                         let br_ip = censor.prefix().nth(0xfd00 + side_idx as u32);
                         let border = net.add_node(Box::new(RouterNode::new(
                             br_ip,
@@ -369,12 +369,7 @@ impl India {
                         )));
                         let (v_if, b_down) = wire.link(&mut net, gw, border, MS(4));
                         let (b_up, c_if) = wire.link(&mut net, border, censor_gw, MS(1));
-                        let wm = net.add_node(Self::censor_node(
-                            censor,
-                            censor_profile,
-                            mb_cfg,
-                            format!("border-wm-{}-{}", isp_id.name(), censor.name()),
-                        ));
+                        let wm = net.add_node(wm);
                         let tap = wire.alloc(border);
                         net.connect(border, tap, wm, IfaceId::PRIMARY, SimDuration::from_micros(80));
                         edit_router(&mut net, border, |b| {
@@ -383,6 +378,13 @@ impl India {
                             b.table.add(isp_id.prefix(), b_down);
                             b.table.add(Cidr::new(Ipv4Addr::new(0, 0, 0, 0), 0), b_up);
                         });
+                        edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
+                        v_if
+                    }
+                    None => {
+                        // No program for this censor: an uncensored
+                        // interconnect.
+                        let (v_if, c_if) = wire.link(&mut net, gw, censor_gw, MS(5));
                         edit_router(&mut net, censor_gw, |r| r.table.add(isp_id.prefix(), c_if));
                         v_if
                     }
@@ -493,89 +495,28 @@ impl India {
         out
     }
 
-    /// The compiled censor program for `censor`: the ISP's committed
-    /// policy file when one exists, otherwise a program derived from
-    /// the profile primitives (Tata's border wiretap, bespoke tests).
-    /// The derivation is also the safety net should a builtin ever fail
-    /// to compile — a divergence there cannot hide, because the
-    /// differential equivalence suite compares behaviour, not source.
-    fn policy_for(censor: IspId, profile: Option<&HttpProfile>, mb: &MiddleboxConfig) -> Policy {
-        let builtin_name = match censor {
-            IspId::Airtel => Some("airtel-wm"),
-            IspId::Jio => Some("jio-wm"),
-            IspId::Idea => Some("idea-im"),
-            IspId::Vodafone => Some("vodafone-im"),
-            _ => None,
-        };
-        if let Some(name) = builtin_name {
-            if let Ok(policy) = builtin(name) {
-                return policy;
-            }
-        }
-        let mut policy = match profile.map(|p| p.kind) {
-            Some(MbKind::InterceptiveOvert | MbKind::InterceptiveCovert) => {
-                Policy::interceptive_like(
-                    censor.name(),
-                    mb.matcher,
-                    mb.notice.clone(),
-                    mb.fixed_ip_id,
-                )
-            }
-            _ => Policy::wiretap_like(
-                censor.name(),
-                mb.matcher,
-                mb.notice.clone(),
-                mb.fixed_ip_id,
-                mb.injection_delay_us,
-                mb.slow_injection,
-            ),
-        };
-        policy.ports = mb.ports.clone();
-        policy.flow_timeout = mb.flow_timeout;
-        policy
+    /// Construct one censor device: a [`PolicyBox`] running a copy of
+    /// the ISP's compiled program (`profile.policy`, the one description
+    /// of its mechanism) over this device's [`Instance`].
+    fn censor_node(profile: &HttpProfile, inst: Instance, label: String) -> Box<dyn Node> {
+        Box::new(PolicyBox::new(profile.policy.clone(), inst, label))
     }
 
-    /// Construct the censor device node: a [`PolicyBox`] interpreting
-    /// the ISP's policy program.
-    fn censor_node(
-        censor: IspId,
-        profile: Option<&HttpProfile>,
-        mb_cfg: MiddleboxConfig,
-        label: String,
-    ) -> Box<dyn Node> {
-        let policy = Self::policy_for(censor, profile, &mb_cfg);
-        let inst = Instance {
-            blocklist: mb_cfg.blocklist,
-            client_filter: mb_cfg.client_filter,
-            seed: mb_cfg.seed,
-        };
-        Box::new(PolicyBox::new(policy, inst, label))
-    }
-
-    /// The per-device [`MiddleboxConfig`] for a censor. `device_tag`
+    /// The per-device [`Instance`] for a censor. `device_tag`
     /// distinguishes sibling devices: without it every device of an ISP
     /// would share one RNG stream and their injection-delay draws would
     /// be identical in lockstep.
-    fn device_config(
+    fn device_instance(
         cfg: &IndiaConfig,
         censor: IspId,
-        profile: Option<&HttpProfile>,
         domains: impl IntoIterator<Item = String>,
         client_filter: Option<Vec<Cidr>>,
         device_tag: u64,
-    ) -> MiddleboxConfig {
-        let mut mb = MiddleboxConfig::new(domains);
-        if let Some(p) = profile {
-            mb.matcher = p.matcher;
-            mb.notice = p.notice.clone();
-            mb.fixed_ip_id = p.fixed_ip_id;
-            mb.slow_injection = p.slow_injection;
-        }
-        mb.client_filter = client_filter;
-        mb.seed = cfg.seed
+    ) -> Instance {
+        let seed = cfg.seed
             ^ u64::from(u32::from(censor.prefix().addr))
             ^ device_tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        mb
+        Instance::of(domains, client_filter, seed)
     }
 
     /// Sites eligible for a border blocklist: alive, single-replica,
@@ -648,7 +589,7 @@ impl India {
 
         // --- HTTP devices: which cores are covered -----------------------
         let http_profile = cfg.http.get(&isp_id);
-        let mut devices: Vec<(usize, NodeId, MbKind)> = Vec::new();
+        let mut devices: Vec<(usize, NodeId, Family)> = Vec::new();
         let mut device_plan: Vec<(usize, bool, BTreeSet<SiteId>)> = Vec::new();
         let mut master: BTreeSet<SiteId> = BTreeSet::new();
         let mut covered: BTreeMap<usize, (bool, BTreeSet<SiteId>)> = BTreeMap::new();
@@ -694,54 +635,44 @@ impl India {
         }
 
         // --- wire gateway↔cores (inserting IMs where covered) ------------
-        // `covered` is only ever populated under `Some(profile)`, so the
-        // match pairs each covered core with the profile kind without a
-        // fallible re-lookup; a covered core with no profile (impossible
-        // by construction) degrades to a plain uncensored link.
+        // `covered` is only ever populated under `Some(profile)`, so a
+        // covered core always pairs with the profile without a fallible
+        // re-lookup; a covered core with no profile (impossible by
+        // construction) degrades to a plain uncensored link.
         for (c, &core) in cores.iter().enumerate() {
-            let device_here = covered.get(&c).cloned();
-            match (device_here, http_profile.map(|p| p.kind)) {
-                (
-                    Some((sees_outside, blocklist)),
-                    Some(kind @ (MbKind::InterceptiveOvert | MbKind::InterceptiveCovert)),
-                ) => {
-                    let client_filter = if sees_outside { None } else { Some(vec![prefix]) };
-                    let mb_cfg = Self::device_config(
-                        cfg,
-                        isp_id,
-                        http_profile,
-                        blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
-                        client_filter,
-                        c as u64,
-                    );
+            let (Some((sees_outside, blocklist)), Some(profile)) =
+                (covered.get(&c).cloned(), http_profile)
+            else {
+                wire.link(net, gateway, core, MS(1));
+                continue;
+            };
+            let client_filter = if sees_outside { None } else { Some(vec![prefix]) };
+            let inst = Self::device_instance(
+                cfg,
+                isp_id,
+                blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
+                client_filter,
+                c as u64,
+            );
+            let family = profile.policy.family;
+            let device = match family {
+                Family::Interceptive => {
                     let im = net.add_node(Self::censor_node(
-                        isp_id,
-                        http_profile,
-                        mb_cfg,
+                        profile,
+                        inst,
                         format!("{}-im{}", isp_id.name(), c),
                     ));
                     let (_gw_if, _) = wire.link(net, gateway, im, MS(1));
                     let (_, _core_if) = wire.link(net, im, core, SimDuration::from_micros(500));
                     edit_router(net, core, |r| r.anonymized = true);
-                    devices.push((c, im, kind));
-                    device_plan.push((c, sees_outside, blocklist));
+                    im
                 }
-                (Some((sees_outside, blocklist)), Some(kind)) => {
+                Family::Wiretap => {
                     wire.link(net, gateway, core, MS(1));
                     // Wiretap on a mirror port of this core.
-                    let client_filter = if sees_outside { None } else { Some(vec![prefix]) };
-                    let mb_cfg = Self::device_config(
-                        cfg,
-                        isp_id,
-                        http_profile,
-                        blocklist.iter().map(|s| corpus.site(*s).domain.clone()),
-                        client_filter,
-                        c as u64,
-                    );
                     let wm = net.add_node(Self::censor_node(
-                        isp_id,
-                        http_profile,
-                        mb_cfg,
+                        profile,
+                        inst,
                         format!("{}-wm{}", isp_id.name(), c),
                     ));
                     let tap = wire.alloc(core);
@@ -750,13 +681,11 @@ impl India {
                         core_router.mirrors.push(tap);
                         core_router.anonymized = true;
                     });
-                    devices.push((c, wm, kind));
-                    device_plan.push((c, sees_outside, blocklist));
+                    wm
                 }
-                _ => {
-                    wire.link(net, gateway, core, MS(1));
-                }
-            }
+            };
+            devices.push((c, device, family));
+            device_plan.push((c, sees_outside, blocklist));
         }
         if http_profile.is_some() {
             truth.http_master.insert(isp_id, master.clone());
@@ -815,7 +744,7 @@ impl India {
         // Notice host: serves the ISP's block page for anything.
         let notice_ip = ip(0, 80);
         let notice_style = http_profile
-            .and_then(|p| p.notice.clone())
+            .and_then(|p| p.policy.notice().cloned())
             .unwrap_or_else(|| NoticeStyle {
                 iframe_url: format!("http://www.{}.in/dot-compliance", isp_id.name().to_lowercase()),
                 server_header: "nginx".into(),

@@ -39,8 +39,8 @@ fn censored_fixture(lab: &mut Lab, isp: IspId) -> Option<(SiteId, std::net::Ipv4
 fn deployed_kinds_match_config() {
     let india = India::build(IndiaConfig::tiny());
     for (isp_id, profile) in &india.cfg.http {
-        for (_, _, kind) in &india.isps[isp_id].devices {
-            assert_eq!(kind, &profile.kind, "{isp_id}");
+        for (_, _, family) in &india.isps[isp_id].devices {
+            assert_eq!(family, &profile.policy.family, "{isp_id}");
         }
     }
 }
